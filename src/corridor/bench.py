@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .cost import CostModel
 from .graph import expanding_height_mask, simple_height_mask
 from .multipath import MultipathConfig, MultipathResult, solve
-from .terrain import TerrainGrid, classify, synth_terrain
+from .terrain import TerrainClassBreakdown, TerrainGrid, classify, synth_terrain
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,19 @@ class PerformanceProfile:
         return frac
 
 
+SOLVER_MODIFIERS = ("astar", "hr", "ehr")
+
+
 def make_solver(spec: str, r: int = 3, hm: float = 1.0, hi_band: float = 0.5) -> BenchSolver:
-    """Parse a solver spec like ``bds+astar+hr`` into a BenchSolver."""
+    """Parse a solver spec like ``bds+astar+hr`` into a BenchSolver.
+
+    Raises ValueError on a modifier other than ``astar``, ``hr`` or ``ehr``,
+    so a misspelt one cannot run a different solver under the spec's name."""
     parts = spec.split("+")
     algorithm = parts[0]
+    unknown = [p for p in parts[1:] if p not in SOLVER_MODIFIERS]
+    if unknown:
+        raise ValueError(f"solver spec {spec!r}: unknown part(s) {', '.join(map(repr, unknown))}")
     use_astar = "astar" in parts[1:]
     mask = "none"
     if "hr" in parts[1:]:
@@ -114,25 +123,12 @@ def run_cell(
     solver: BenchSolver,
     model: CostModel,
     base_cfg: MultipathConfig,
+    breakdown: TerrainClassBreakdown,
 ) -> ExperimentRecord:
-    """Run one (map, solver) cell; mask construction counts toward wall time."""
+    """Run one (map, solver) cell; mask construction counts toward wall time.
+    ``breakdown`` is the map's :func:`classify` result."""
     grid = bmap.grid
-    breakdown = classify(grid)
-    cfg = MultipathConfig(
-        k=base_cfg.k,
-        min_diff=base_cfg.min_diff,
-        max_diff=base_cfg.max_diff,
-        algorithm=solver.algorithm,
-        w=base_cfg.w,
-        penalty_width=base_cfg.penalty_width,
-        penalty_max=base_cfg.penalty_max,
-        kappa=base_cfg.kappa,
-        ka=base_cfg.ka,
-        kb=base_cfg.kb,
-        timeout=base_cfg.timeout,
-        use_astar=solver.use_astar,
-        label_cap=base_cfg.label_cap,
-    )
+    cfg = replace(base_cfg, algorithm=solver.algorithm, use_astar=solver.use_astar)
     t0 = time.perf_counter()
     error = ""
     result: Optional[MultipathResult] = None
@@ -181,8 +177,9 @@ def run_matrix(
     base_cfg = base_cfg if base_cfg is not None else MultipathConfig()
     records = []
     for bmap in maps:
+        breakdown = classify(bmap.grid)
         for solver in solvers:
-            records.append(run_cell(bmap, solver, model, base_cfg))
+            records.append(run_cell(bmap, solver, model, base_cfg, breakdown))
     records.sort(key=lambda r: (r.map_id, r.solver))
     return records
 

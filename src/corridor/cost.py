@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
-from .graph import AugVertex
-from .terrain import TerrainGrid, ground_profile
+import numpy as np
+
+from .graph import AugVertex, HeightMask
+from .terrain import DIR8, TerrainGrid, ground_profile
 
 Point3 = tuple[float, float, float]
 
@@ -91,6 +94,9 @@ class EdgeCoster:
         self.model = model
         self._z = [[float(v) for v in row] for row in grid.z]
         self._cache: dict[tuple[int, int, int, int, int, int], float] = {}
+        # (id(mask), dst) -> (mask, potential rows); the entry holds the mask
+        # so its id cannot be reused by another mask while the entry lives.
+        self._potentials: dict[tuple, tuple[Optional[HeightMask], list[list[float]]]] = {}
 
     def __call__(self, u: AugVertex, w: AugVertex) -> float:
         a = (u.x, u.y, u.z)
@@ -156,6 +162,177 @@ class EdgeCoster:
             + model.cut_rate * cut * model.road_width
             + model.fill_rate * fill * model.road_width
         )
+
+
+    def astar_potential(
+        self, mask: Optional[HeightMask], dst: tuple[int, int], build: bool = True
+    ) -> Optional[list[list[float]]]:
+        """Rows ``[y][x]`` of the A* potential toward ``dst``: the larger of
+        the straight-line bound and :func:`planar_bound`.  Both are consistent,
+        so their maximum is too.  Built once per (mask, dst) and memoised;
+        with ``build=False`` only a memoised table is returned, else None."""
+        dst = (int(dst[0]), int(dst[1]))
+        key = (id(mask), dst)
+        entry = self._potentials.get(key)
+        if entry is not None:
+            return entry[1]
+        if not build:
+            return None
+        grid, model = self.grid, self.model
+        dxy = grid.dxy
+        dest_m = (dst[0] * dxy, dst[1] * dxy)
+        planar = planar_bound(grid, model, mask, dst).tolist()
+        rows = [
+            [max(astar_heuristic(model, (x * dxy, y * dxy), dest_m), h) for x, h in enumerate(row)]
+            for y, row in enumerate(planar)
+        ]
+        self._potentials[key] = (mask, rows)
+        return rows
+
+
+def unit_move_prices(
+    grid: TerrainGrid,
+    model: CostModel,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    z0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    z1: np.ndarray,
+) -> np.ndarray:
+    """Prices of many unit grid moves (x0, y0, z0) -> (x1, y1, z1) at once.
+
+    The same closed form as :meth:`EdgeCoster._compute`, operation for
+    operation, so the two agree to the last bit except where ``np.hypot``
+    and ``math.hypot`` round the 3D length differently.  Arguments are
+    integer arrays of one shape; every move must be one of the 8 unit steps.
+    """
+    z = grid.z
+    g0 = z[y0, x0]
+    g1 = z[y1, x1]
+    diag = (x0 != x1) & (y0 != y1)
+    gm = np.where(diag, 0.25 * (g0 + g1 + z[y0, x1] + z[y1, x0]), 0.5 * (g0 + g1))
+    length_2d = np.where(diag, grid.dxy * 1.4142135623730951, grid.dxy)
+    return _move_prices(model, g0, gm, g1, length_2d, z0 * grid.dz, z1 * grid.dz)
+
+
+def _move_prices(model, g0, gm, g1, length_2d, r0, r1) -> np.ndarray:
+    """:func:`unit_move_prices` from ground elevations at the start, middle
+    and end of each move, its planar length and its road elevations."""
+    rm = 0.5 * (r0 + r1)
+    half = 0.5 * length_2d
+    cut = np.zeros(np.shape(r0))
+    fill = np.zeros(np.shape(r0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for da, db in ((r0 - g0, rm - gm), (rm - gm, r1 - g1)):
+            same_side = da * db >= 0.0
+            s_cross = half * da / (da - db)
+            # One area when the piece stays on one side of the ground, else
+            # the two triangles either side of the crossing, in that order.
+            a0 = np.where(same_side, 0.5 * (da + db) * half, 0.5 * da * s_cross)
+            a1 = np.where(same_side, 0.0, 0.5 * db * (half - s_cross))
+            for a in (a0, a1):
+                above = a >= 0.0
+                fill = fill + np.where(above, a, 0.0)
+                cut = cut - np.where(above, 0.0, a)
+    length_3d = np.hypot(length_2d, r1 - r0)
+    return (
+        model.paving_rate * length_3d
+        + model.cut_rate * cut * model.road_width
+        + model.fill_rate * fill * model.road_width
+    )
+
+
+# Relative slack taken off every relaxed move price.  It covers the last-bit
+# differences between the two pricers (the 3D length, and the summation order
+# of the reversed move), so the planar bound stays below every edge price in
+# floating point and not only in exact arithmetic.
+_BOUND_SLACK = 1e-12
+
+
+def planar_bound(
+    grid: TerrainGrid, model: CostModel, mask: Optional[HeightMask], dst: tuple[int, int]
+) -> np.ndarray:
+    """Exact cost to ``dst`` on the relaxed graph of grid columns, shape (ny, nx).
+
+    The relaxed graph keeps the 8-neighbour moves between columns and drops
+    the 45-degree turn rule.  Each move costs the cheapest unit move between
+    its two columns over all admissible z pairs (the column bands of
+    :func:`graph.z_bounds`, with |dz| <= 1), in either direction.  Every
+    augmented path maps onto a relaxed path that costs no more, and each
+    relaxed move never overprices the augmented edges above it, so the field
+    is a consistent A* potential.  Columns that cannot reach ``dst`` read inf.
+    """
+    nx, ny = grid.nx, grid.ny
+    lo = np.full((ny, nx), grid.z_min_index, dtype=np.int64)
+    hi = np.full((ny, nx), grid.z_max_index, dtype=np.int64)
+    if mask is not None:
+        lo = np.maximum(lo, mask.z_lo)
+        hi = np.minimum(hi, mask.z_hi)
+    lo, hi = lo.ravel(), hi.ravel()
+    # Every admissible (x, y, z) cell, grouped by flat column index.
+    sizes = hi - lo + 1
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    col = np.repeat(np.arange(nx * ny), sizes)
+    cz = lo[col] + np.arange(col.size) - starts[col]
+    cx, cy = col % nx, col // nx
+    ground = grid.z.ravel()
+    g0 = ground[col]
+    r0 = cz * grid.dz
+
+    # Moves along the first four headings; the other four are their reversals.
+    offsets: list[int] = []
+    weights: list[np.ndarray] = []
+    for dx, dy in DIR8[:4]:
+        tx, ty = cx + dx, cy + dy
+        on = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
+        tcol = np.where(on, ty * nx + tx, col)
+        g1 = ground[tcol]
+        if dx and dy:
+            # The two corners off the move, summed in each direction's order.
+            a, b = ground[cy * nx + np.where(on, tx, cx)], ground[np.where(on, ty, cy) * nx + cx]
+            gm_fwd = 0.25 * (g0 + g1 + a + b)
+            gm_rev = 0.25 * (g1 + g0 + b + a)
+            length_2d = grid.dxy * 1.4142135623730951
+        else:
+            gm_fwd = gm_rev = 0.5 * (g0 + g1)
+            length_2d = grid.dxy
+        best = np.full(col.size, np.inf)
+        for step in (-1, 0, 1):
+            tz = cz + step
+            i = np.nonzero(on & (tz >= lo[tcol]) & (tz <= hi[tcol]))[0]
+            ga, gb, r1 = g0[i], g1[i], tz[i] * grid.dz
+            fwd = _move_prices(model, ga, gm_fwd[i], gb, length_2d, r0[i], r1)
+            rev = _move_prices(model, gb, gm_rev[i], ga, length_2d, r1, r0[i])
+            best[i] = np.minimum(best[i], np.minimum(fwd, rev))
+        w = np.minimum.reduceat(best, starts) * (1.0 - _BOUND_SLACK)
+        back = np.full(nx * ny, np.inf)
+        ok = np.nonzero(np.isfinite(w))[0]
+        back[ok + dy * nx + dx] = w[ok]
+        offsets += [dy * nx + dx, -(dy * nx + dx)]
+        weights += [w, back]
+
+    # Reverse Dijkstra from dst; the relaxed graph is undirected.
+    inf = math.inf
+    edges = [(off, w.tolist()) for off, w in zip(offsets, weights)]
+    dist = [inf] * (nx * ny)
+    t = dst[1] * nx + dst[0]
+    dist[t] = 0.0
+    heap = [(0.0, t)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d > dist[i]:
+            continue
+        for off, w in edges:
+            c = w[i]
+            if c == inf:
+                continue
+            j = i + off
+            nd = d + c
+            if nd < dist[j]:
+                dist[j] = nd
+                heapq.heappush(heap, (nd, j))
+    return np.array(dist).reshape(ny, nx)
 
 
 def astar_heuristic(model: CostModel, p: tuple[float, float], dest: tuple[float, float]) -> float:

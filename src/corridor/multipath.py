@@ -275,9 +275,16 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
 # ---------------------------------------------------------------------------
 
 
+# The penalty-width bracket stops once upper - lower is narrower than this
+# share of the width: bisecting further re-runs whole searches at widths that
+# differ only in the last digits.
+IPA_TOLERANCE = 1e-3
+
+
 class IpaBracket:
     """Penalty-width bracket: double while candidates stay too similar, then
-    bisect toward whichever bound the last outcome established."""
+    bisect toward whichever bound the last outcome established, until the
+    bracket is narrower than ``IPA_TOLERANCE`` times the width."""
 
     def __init__(self, initial: float, penalty_max: float):
         self.width = initial
@@ -297,18 +304,19 @@ class IpaBracket:
         if outcome == "expensive":
             self.upper = self.width
             new = 0.5 * (self.lower + self.width)
-            if new in self.tried:
-                return False
-            self.width = new
-            return True
-        if outcome == "similar":
+        elif outcome == "similar":
             self.lower = self.width
             new = 0.5 * (self.width + self.upper) if self.upper is not None else 2.0 * self.width
-            if new in self.tried or new > self.penalty_max:
+            if new > self.penalty_max:
                 return False
-            self.width = new
-            return True
-        raise ValueError(f"unknown outcome {outcome!r}")
+        else:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        if new in self.tried:
+            return False
+        if self.upper is not None and self.upper - self.lower < IPA_TOLERANCE * self.width:
+            return False
+        self.width = new
+        return True
 
 
 def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float):

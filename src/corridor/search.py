@@ -116,13 +116,26 @@ def _single_source(
     edge_filter: Optional[EdgeFilter],
     penalty: Optional[EdgePenalty],
     stats: Optional[SearchStats],
-    potential: Optional[Callable[[int, int], float]],
+    guided: bool,
     coster: Optional[EdgeCoster],
 ) -> Optional[Path]:
     if coster is None:
         coster = EdgeCoster(grid, model)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)
+    potential: Optional[Callable[[int, int], float]] = None
+    switch_at = -1
+    if guided:
+        rows = coster.astar_potential(mask, dst, build=False)
+        if rows is not None:
+            potential = lambda x, y: rows[y][x]
+        else:
+            # Start on the straight-line bound; the planar field pays for
+            # itself only once the query has done about as much work.
+            dxy = grid.dxy
+            dest_m = (dst_x * dxy, dst_y * dxy)
+            potential = lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), dest_m)
+            switch_at = grid.nx * grid.ny
     dist: dict[AugVertex, float] = {}
     parent: dict[AugVertex, AugVertex] = {}
     settled: set[AugVertex] = set()
@@ -143,6 +156,13 @@ def _single_source(
                 stats.settle_keys.append(key)
         if u.x == dst_x and u.y == dst_y and u.z == dst_z:
             return _extract(parent, u, coster)
+        if len(settled) == switch_at:
+            # Switch to the planar field and re-key the open states.  The new
+            # potential is at least the old one, so settle keys stay monotone.
+            rows = coster.astar_potential(mask, dst)
+            potential = lambda x, y: rows[y][x]
+            heap = [(dist[w] + rows[w.y][w.x], w) for w in {w for _, w in heap if w not in settled}]
+            heapq.heapify(heap)
         du = dist[u]
         for w in successors3do(grid, u, mask):
             if w in settled:
@@ -177,7 +197,7 @@ def dijkstra(
     coster: Optional[EdgeCoster] = None,
 ) -> Optional[Path]:
     """Minimum-cost path between ground points, or None if disconnected."""
-    return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, None, coster)
+    return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, False, coster)
 
 
 def astar(
@@ -191,15 +211,18 @@ def astar(
     stats: Optional[SearchStats] = None,
     coster: Optional[EdgeCoster] = None,
 ) -> Optional[Path]:
-    """Same result contract as :func:`dijkstra`, guided by the straight-line
-    paving bound; with the consistent heuristic it never settles more states."""
-    dxy = grid.dxy
-    dest_m = (dst[0] * dxy, dst[1] * dxy)
+    """Same result contract as :func:`dijkstra`, guided by a consistent
+    lower bound on the remaining cost, so it never settles more states.
 
-    def potential(x: int, y: int) -> float:
-        return astar_heuristic(model, (x * dxy, y * dxy), dest_m)
-
-    return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, potential, coster)
+    A query starts on the straight-line paving bound.  Once it has settled
+    as many states as the grid has columns, it builds the planar bound
+    (:func:`corridor.cost.planar_bound`, which also prices earthwork) and
+    continues on the larger of the two.  The field is memoised on
+    ``coster`` per (mask, dst), so later queries that share the coster use
+    it from their first settle.  Filters only remove edges, so both bounds
+    hold under any ``edge_filter``; a ``penalty`` must be non-negative.
+    """
+    return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, True, coster)
 
 
 @dataclass(frozen=True)

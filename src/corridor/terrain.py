@@ -42,6 +42,9 @@ class TerrainGrid:
         z = z.copy()
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
+        # The vertical hull is read on every successor step; scan the grid once.
+        object.__setattr__(self, "_z_min_index", int(math.floor(float(z.min()) / self.dz)))
+        object.__setattr__(self, "_z_max_index", int(math.ceil(float(z.max()) / self.dz)))
 
     # -- extents -----------------------------------------------------------
 
@@ -57,11 +60,11 @@ class TerrainGrid:
 
     @property
     def z_min_index(self) -> int:
-        return int(math.floor(float(self.z.min()) / self.dz))
+        return self._z_min_index
 
     @property
     def z_max_index(self) -> int:
-        return int(math.ceil(float(self.z.max()) / self.dz))
+        return self._z_max_index
 
     @property
     def n_levels(self) -> int:

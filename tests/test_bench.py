@@ -45,6 +45,19 @@ class TestSolverSpec:
         with pytest.raises(ValueError):
             BenchSolver(name="x", algorithm="bds", mask="wat")
 
+    @pytest.mark.parametrize("spec", ["bds+astr+hr", "se+HR", "ipa+astar+", "kspa+ehr+x"])
+    def test_unknown_part_rejected(self, spec):
+        with pytest.raises(ValueError, match="unknown part"):
+            make_solver(spec)
+
+    def test_cli_reports_unknown_part(self, tmp_path, capsys):
+        from corridor.cli import main
+
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"maps = synth:1:8:6:2\nsolvers = bds+astr\nout_dir = {tmp_path}\n")
+        assert main(["bench", str(cfg)]) == 1
+        assert "astr" in capsys.readouterr().err
+
 
 class TestRunMatrix:
     @pytest.fixture(scope="class")
@@ -82,6 +95,18 @@ class TestRunMatrix:
         prof1 = profile(records, solvers)
         prof2 = profile(records_from_csv(p), solvers)
         assert prof1.points == prof2.points
+
+    def test_classify_once_per_map(self, monkeypatch):
+        import corridor.bench as bench
+
+        calls = []
+        classify = bench.classify
+        monkeypatch.setattr(bench, "classify", lambda grid: calls.append(grid) or classify(grid))
+        maps = synth_map_set(1, [(8, 6, 2.0), (9, 6, 2.0)])
+        recs = run_matrix(maps, [make_solver("bds"), make_solver("se+hr")])
+        assert len(recs) == 4 and len(calls) == 2
+        assert {(r.map_id, r.frac_a) for r in recs} == {
+            (m.map_id, classify(m.grid).fracA) for m in maps}
 
     def test_failures_recorded_not_raised(self):
         maps = synth_map_set(1, [(8, 6, 2.0)])

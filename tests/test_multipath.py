@@ -4,6 +4,7 @@ import pytest
 from corridor import CostModel, TerrainGrid, simple_height_mask
 from corridor.graph import AugVertex
 from corridor.multipath import (
+    IPA_TOLERANCE,
     IpaBracket,
     MultipathConfig,
     run_bds,
@@ -87,6 +88,17 @@ class TestIpaBracket:
     def test_penalty_max_stops(self):
         br = IpaBracket(200.0, 320.0)
         assert br.step("similar") is False    # doubling to 400 exceeds the cap
+
+    def test_alternating_outcomes_stop_at_tolerance(self):
+        br = IpaBracket(10.0, 320.0)
+        steps = 0
+        while br.step("similar" if steps % 2 == 0 else "expensive"):
+            steps += 1
+            assert steps < 30, "bracket never closed"
+        # Each step halves a bracket of width 10; it closes near 1e-3 * 16.7.
+        assert 8 <= steps <= 14
+        assert br.upper - br.lower < IPA_TOLERANCE * br.width
+        assert 16.0 < br.lower < br.upper < 17.0
 
     def test_accept_clears_bracket(self):
         br = IpaBracket(10.0, 320.0)

@@ -9,7 +9,7 @@ from corridor.graph import AugVertex, ground_z_index, successors3do
 from corridor.search import SearchStats, astar, dijkstra
 from corridor.terrain import synth_terrain
 
-from conftest import flat_grid
+from conftest import flat_grid, lane_grid
 
 
 def exhaustive_best(grid, model, mask, src, dst, max_edges):
@@ -90,6 +90,17 @@ class TestDijkstra:
         g = flat_grid(nx=6, ny=4)
         with pytest.raises(ValueError):
             dijkstra(g, model, None, (0, 1), (5, 1), penalty=lambda u, w: -100.0)
+
+    def test_expansions_on_fixture_unchanged(self, model, lane_model):
+        # Figures of the engine before the vertical hull was cached.
+        grid, mask, src, dst = random_instance(3)
+        stats = SearchStats()
+        assert dijkstra(grid, model, mask, src, dst, stats=stats).total_cost == 277.8038062961107
+        assert stats.expansions == 1144
+        lanes = lane_grid()
+        stats = SearchStats()
+        dijkstra(lanes, lane_model, simple_height_mask(lanes, 1.0, 3), (0, 12), (52, 12), stats=stats)
+        assert stats.expansions == 11644
 
     def test_settle_order_monotone(self, model):
         grid, mask, src, dst = random_instance(3)

@@ -67,6 +67,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             g.z[0, 0] = 5.0
 
+    def test_vertical_hull_cached(self):
+        rng = np.random.default_rng(3)
+        grids = [synth_terrain(s, 7, 5, r) for s, r in ((1, 0.0), (2, 3.7), (3, 20.0))]
+        grids.append(TerrainGrid(nx=4, ny=3, dxy=10, dz=0.7, z=rng.uniform(-9.0, 4.0, (3, 4))))
+        for g in grids:
+            assert g.z_min_index == int(math.floor(float(g.z.min()) / g.dz))
+            assert g.z_max_index == int(math.ceil(float(g.z.max()) / g.dz))
+            assert g.n_levels == g.z_max_index - g.z_min_index + 1
+
 
 class TestMaxGrade:
     def test_flat(self):
