@@ -22,31 +22,34 @@ The algorithms:
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from .cost import CostModel, EdgeCoster, astar_heuristic, ikeda_potentials
+from .cost import CostModel, EdgeCoster
 from .dissimilarity import (
     AreaConfig,
     Outcome,
+    _profile,
     accept,
     apply_decision,
     area_diff,
     assert_pairwise_dissimilar,
     pairwise_areas,
 )
-from .graph import (
-    AugVertex,
-    HeightMask,
-    flip_state,
-    ground_z_index,
-    rev_successors3do,
-    successors3do,
+# perfbench/tracing.py rebinds the successor functions here too, so they stay imported.
+from .graph import AugVertex, ground_z_index, rev_successors3do, successors3do
+from .search import (
+    Path,
+    SearchStats,
+    _cost_bar,
+    _LabelSide,
+    astar,
+    bidi_engine,
+    dijkstra,
+    straight_line_potential,
 )
-from .search import Path, SearchStats, astar, bidi_engine, dijkstra
 from .terrain import DIR8, TerrainGrid
 
 
@@ -134,10 +137,6 @@ def _area_config(grid: TerrainGrid, src, dst, min_diff: float) -> AreaConfig:
         endpoint_distance=max(d, grid.dxy),
         dxy=grid.dxy,
     )
-
-
-def _cost_bar(opt_cost: float, max_diff: float) -> float:
-    return (1.0 + max_diff / 100.0) * opt_cost * (1.0 + 1e-12)
 
 
 def _finalize(
@@ -332,13 +331,7 @@ def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float
     reach = max(1.0, (width_percent / 100.0) * (grid.ny - 1))
     per_path = []
     for p in paths:
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        for vtx in p.vertices:
-            sums[vtx.x] = sums.get(vtx.x, 0.0) + vtx.y
-            counts[vtx.x] = counts.get(vtx.x, 0) + 1
-        means = {x: sums[x] / counts[x] for x in sums}
-        lo, hi = min(means), max(means)
+        lo, hi, means = _profile(p)
         peak = (width_percent / 100.0) * (p.total_cost / max(1, len(p.vertices) - 1))
         per_path.append((means, lo, hi, peak))
 
@@ -399,235 +392,23 @@ def run_ipa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResul
 
 
 # ---------------------------------------------------------------------------
-# Multi-label machinery (kspa and the bidirectional hybrid)
+# Multi-label sweep
 # ---------------------------------------------------------------------------
-
-
-class _Label:
-    """A partial path: cost, tip state, parent link and its lateral profile.
-
-    The profile is stored densely over the contiguous x-hull [lo, hi] as
-    per-column y sums and visit counts; ``means`` is derived lazily and
-    cached, since settled labels are compared against many candidates.
-    """
-
-    __slots__ = ("cost", "state", "parent", "alive", "sums", "counts", "lo", "hi", "seq", "means")
-
-    def __init__(self, cost, state, parent, sums, counts, lo, hi, seq):
-        self.cost = cost
-        self.state = state
-        self.parent = parent
-        self.alive = True
-        self.sums = sums
-        self.counts = counts
-        self.lo = lo
-        self.hi = hi
-        self.seq = seq
-        self.means = None
-
-    def mean_profile(self) -> list[float]:
-        if self.means is None:
-            self.means = [s / c for s, c in zip(self.sums, self.counts)]
-        return self.means
-
-
-class _LabelSide:
-    """One direction of a multi-label sweep with per-vertex dissimilarity.
-
-    Keeps up to ``cap`` mutually-dissimilar labels per augmented state; a new
-    label must price within ``max_diff`` of the state's cheapest label, and it
-    either joins, replaces the most expensive, or replaces the single similar
-    label it beats.  States on the backward side are stored in reverse
-    orientation and advance through the reversed graph.
-    """
-
-    def __init__(
-        self,
-        grid: TerrainGrid,
-        mask: Optional[HeightMask],
-        coster: EdgeCoster,
-        origin: tuple[int, int],
-        forward: bool,
-        cap: int,
-        min_diff: float,
-        max_diff: float,
-        potential: Optional[Callable[[int, int], float]] = None,
-    ):
-        self.grid = grid
-        self.mask = mask
-        self.coster = coster
-        self.forward = forward
-        self.cap = cap
-        self.min_diff = min_diff
-        self.max_diff = max_diff
-        self.potential = potential
-        self.origin = origin
-        self.labels: dict[AugVertex, list[_Label]] = {}
-        self.settled: dict[AugVertex, list[_Label]] = {}
-        self.heap: list = []
-        self.alive_count = 0
-        self._seq = 0
-        ox, oy = origin
-        oz = ground_z_index(grid, ox, oy)
-        if mask is not None and not mask.admits(ox, oy, oz):
-            raise ValueError(f"ground level at {origin} not admissible under mask")
-        for h in range(8):
-            for v in (-1, 0, 1):
-                state = AugVertex(ox, oy, oz, h, v)
-                self._push(_Label(0.0, state, None, [float(oy)], [1], ox, ox, self._next_seq()))
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _key(self, label: _Label) -> tuple:
-        s = label.state
-        c = label.cost + self.potential(s.x, s.y) if self.potential else label.cost
-        return (c, s.x, s.y, s.z, s.h, s.v, label.seq)
-
-    def _push(self, label: _Label) -> None:
-        self.labels.setdefault(label.state, []).append(label)
-        self.alive_count += 1
-        heapq.heappush(self.heap, (self._key(label), label))
-
-    def _kill(self, label: _Label) -> None:
-        label.alive = False
-        self.labels[label.state].remove(label)
-        self.alive_count -= 1
-
-    def top_key(self) -> Optional[float]:
-        return self.heap[0][0][0] if self.heap else None
-
-    def pop_settle(self) -> Optional[_Label]:
-        while self.heap:
-            _, label = heapq.heappop(self.heap)
-            if label.alive:
-                self.settled.setdefault(label.state, []).append(label)
-                return label
-        return None
-
-    def _norm_dist(self, state: AugVertex) -> float:
-        d = math.hypot(state.x - self.origin[0], state.y - self.origin[1]) * self.grid.dxy
-        return max(d, self.grid.dxy)
-
-    def relax(self, label: _Label) -> None:
-        succ = successors3do if self.forward else rev_successors3do
-        for w in succ(self.grid, label.state, self.mask):
-            if self.forward:
-                c = self.coster(label.state, w)
-            else:
-                c = self.coster(w, label.state)
-            self._offer(label, w, label.cost + c)
-
-    def _make_label(self, parent: _Label, state: AugVertex, cost: float) -> _Label:
-        hx = state.x
-        y = float(state.y)
-        if hx < parent.lo:
-            sums = [y] + parent.sums
-            counts = [1] + parent.counts
-            lo, hi = hx, parent.hi
-        elif hx > parent.hi:
-            sums = parent.sums + [y]
-            counts = parent.counts + [1]
-            lo, hi = parent.lo, hx
-        else:
-            sums = list(parent.sums)
-            counts = list(parent.counts)
-            i = hx - parent.lo
-            sums[i] += y
-            counts[i] += 1
-            lo, hi = parent.lo, parent.hi
-        return _Label(cost, state, parent, sums, counts, lo, hi, self._next_seq())
-
-    @staticmethod
-    def _candidate_means(parent: _Label, head: AugVertex) -> tuple[int, list[float]]:
-        hx = head.x
-        y = float(head.y)
-        ps, pc = parent.sums, parent.counts
-        if hx < parent.lo:
-            return hx, [y] + parent.mean_profile()
-        if hx > parent.hi:
-            return parent.lo, parent.mean_profile() + [y]
-        means = parent.mean_profile().copy()
-        i = hx - parent.lo
-        means[i] = (ps[i] + y) / (pc[i] + 1)
-        return parent.lo, means
-
-    def _similar(self, cand_lo: int, cand_means: list[float], other: _Label, stop_cells: float) -> bool:
-        # True when the area between the candidate and the label stays below
-        # the dissimilarity threshold (early exit once it cannot).
-        mb = other.mean_profile()
-        o_lo = other.lo
-        nb1 = len(mb) - 1
-        ma = cand_means
-        na1 = len(ma) - 1
-        lo = min(cand_lo, o_lo)
-        hi = max(cand_lo + na1, o_lo + nb1)
-        area = 0.0
-        for x in range(lo, hi + 1):
-            ia = x - cand_lo
-            va = ma[0 if ia < 0 else (na1 if ia > na1 else ia)]
-            ib = x - o_lo
-            vb = mb[0 if ib < 0 else (nb1 if ib > nb1 else ib)]
-            d = va - vb
-            area += d if d >= 0.0 else -d
-            if area >= stop_cells:
-                return False
-        return True
-
-    def _stop_cells(self, norm: float) -> float:
-        dxy = self.grid.dxy
-        return self.min_diff * self.grid.width_m * norm / (100.0 * dxy * dxy)
-
-    def _offer(self, parent: _Label, state: AugVertex, cost: float) -> None:
-        bucket = self.labels.get(state)
-        if not bucket:
-            self._push(self._make_label(parent, state, cost))
-            return
-        cheapest = min(l.cost for l in bucket)
-        if cost > _cost_bar(cheapest, self.max_diff):
-            return
-        stop = self._stop_cells(self._norm_dist(state))
-        cand_lo, cand_means = self._candidate_means(parent, state)
-        similar = [l for l in bucket if self._similar(cand_lo, cand_means, l, stop)]
-        if not similar:
-            if len(bucket) < self.cap:
-                self._push(self._make_label(parent, state, cost))
-            else:
-                worst = max(bucket, key=lambda l: (l.cost, l.seq))
-                if cost < worst.cost:
-                    self._kill(worst)
-                    self._push(self._make_label(parent, state, cost))
-        elif len(similar) == 1 and cost < similar[0].cost:
-            self._kill(similar[0])
-            self._push(self._make_label(parent, state, cost))
-
-    def chain(self, label: _Label) -> list[AugVertex]:
-        states = []
-        l: Optional[_Label] = label
-        while l is not None:
-            states.append(l.state)
-            l = l.parent
-        states.reverse()
-        return states
-
-
-def _path_from_vertices(vertices: list[AugVertex], coster: EdgeCoster) -> Path:
-    edge_costs = [coster(a, b) for a, b in zip(vertices, vertices[1:])]
-    return Path(vertices=vertices, total_cost=math.fsum(edge_costs), edge_costs=edge_costs)
 
 
 def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
     """Single multi-label sweep from the source, keeping up to kappa mutually
     dissimilar labels per augmented vertex, until k paths reach the
-    destination or every remaining label prices out."""
+    destination or every remaining label prices out.  With ``use_astar`` the
+    sweep is keyed by the straight-line bound to the destination."""
     deadline = time.monotonic() + cfg.timeout
 
     stats = SearchStats()
     coster = EdgeCoster(grid, model)
     acfg = _area_config(grid, src, dst, cfg.min_diff)
     kappa = cfg.kappa if cfg.kappa is not None else cfg.k
-    side = _LabelSide(grid, mask, coster, src, True, kappa, cfg.min_diff, cfg.max_diff)
+    potential = straight_line_potential(grid, model, dst) if cfg.use_astar else None
+    side = _LabelSide(grid, mask, coster, src, True, kappa, cfg.min_diff, cfg.max_diff, potential)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)
     dst_paths: list[Path] = []
@@ -649,11 +430,14 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
         iterations += 1
         stats.expansions += 1
         stats.note_labels(side.alive_count)
-        if opt_cost is not None and label.cost > _cost_bar(opt_cost, cfg.max_diff):
-            break
         s = label.state
+        # Keys are popped in order, so once one passes the bar every later
+        # label reaches the destination too expensive.
+        key = label.cost + potential(s.x, s.y) if potential else label.cost
+        if opt_cost is not None and key > _cost_bar(opt_cost, cfg.max_diff):
+            break
         if s.x == dst_x and s.y == dst_y and s.z == dst_z:
-            cand = _path_from_vertices(side.chain(label), coster)
+            cand = Path(vertices=side.chain(label), total_cost=0.0).price(coster)
             if opt_cost is None:
                 opt_cost = cand.total_cost
             decision = accept(cand, dst_paths, acfg, cfg.k, cfg.max_diff, opt_cost)
@@ -673,26 +457,25 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
 # ---------------------------------------------------------------------------
 
 
-def run_bds(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
-    """Consume bidirectional meet events, keeping the accepted set by the
-    add/replace/reject rules; a rejected candidate is never reconsidered.
-    Expansion stops once no future meet can price within the cost bar."""
-    deadline = time.monotonic() + cfg.timeout
+def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: int, kb: int) -> MultipathResult:
+    """Consume the meet events of a bidirectional engine with ``ka`` labels
+    per state and side, keeping up to ``kb`` paths by the add/replace/reject
+    rules; a rejected candidate is never reconsidered.  Expansion stops once
+    no future meet can price within the cost bar, or at the timeout or the
+    label cap."""
     stats = SearchStats()
     coster = EdgeCoster(grid, model)
     engine = bidi_engine(
-        grid, model, mask, src, dst, use_ikeda=cfg.use_astar, stats=stats, coster=coster
+        grid, model, mask, src, dst, use_ikeda=cfg.use_astar, stats=stats, coster=coster,
+        labels=ka, min_diff=cfg.min_diff, max_diff=cfg.max_diff,
+        deadline=time.monotonic() + cfg.timeout, label_cap=cfg.label_cap,
     )
     acfg = _area_config(grid, src, dst, cfg.min_diff)
     accepted: list[Path] = []
     seen: set[tuple] = set()
     mu: Optional[float] = None
     iterations = 0
-    timed_out = False
     for event in engine.events():
-        if time.monotonic() > deadline:
-            timed_out = True
-            break
         iterations += 1
         if mu is None or event.total < mu:
             mu = event.total
@@ -701,100 +484,26 @@ def run_bds(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResul
         if key in seen:
             continue
         seen.add(key)
-        decision = accept(event.path, accepted, acfg, cfg.k, cfg.max_diff, mu)
+        decision = accept(event.path, accepted, acfg, kb, cfg.max_diff, mu)
         if apply_decision(event.path, accepted, decision):
             assert_pairwise_dissimilar(accepted, acfg)
     return _finalize(
-        "bds", accepted, mu, cfg, acfg, stats, iterations, coster, incomplete=timed_out
+        name, accepted, mu, cfg, acfg, stats, iterations, coster, incomplete=engine.incomplete
     )
+
+
+def run_bds(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
+    """Consume the meet events of the one-label bidirectional engine."""
+    return _select_meets("bds", grid, model, mask, src, dst, cfg, 1, cfg.k)
 
 
 def run_hybrid(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
     """Bidirectional multi-label growth: each side keeps up to ka labels per
     vertex under the per-vertex dissimilarity rules, meets combine settled
-    labels of matching orientation, and the accepted set follows the same
-    selection rules as ``bds`` (which this reduces to when ka == 1)."""
-    deadline = time.monotonic() + cfg.timeout
-    stats = SearchStats()
-    coster = EdgeCoster(grid, model)
-    acfg = _area_config(grid, src, dst, cfg.min_diff)
+    labels of matching orientation, and up to kb paths are selected by the
+    same rules as ``bds`` (which this is when ka == 1)."""
     kb = cfg.kb if cfg.kb is not None else cfg.k
-    if cfg.use_astar:
-        dxy = grid.dxy
-        src_m = (src[0] * dxy, src[1] * dxy)
-        dst_m = (dst[0] * dxy, dst[1] * dxy)
-        hf = lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), dst_m)
-        hb = lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), src_m)
-        pf, pb = ikeda_potentials(hf, hb)
-    else:
-        pf = pb = None
-    fwd = _LabelSide(grid, mask, coster, src, True, cfg.ka, cfg.min_diff, cfg.max_diff, potential=pf)
-    bwd = _LabelSide(grid, mask, coster, dst, False, cfg.ka, cfg.min_diff, cfg.max_diff, potential=pb)
-
-    accepted: list[Path] = []
-    seen: set[tuple] = set()
-    mu: Optional[float] = None
-    iterations = 0
-    timed_out = False
-    overflow = False
-
-    def cutoff_bar() -> float:
-        if mu is None:
-            return math.inf
-        return (1.0 + cfg.max_diff / 100.0) * mu * (1.0 + 1e-9) + 1e-9
-
-    def future_bound() -> float:
-        bounds = []
-        tf = fwd.top_key()
-        if tf is not None:
-            bounds.append(tf - pf(*dst) if pf else tf)
-        tb = bwd.top_key()
-        if tb is not None:
-            bounds.append(tb + pf(*src) if pf else tb)
-        return min(bounds) if bounds else math.inf
-
-    while fwd.heap or bwd.heap:
-        if time.monotonic() > deadline:
-            timed_out = True
-            break
-        if fwd.alive_count + bwd.alive_count > cfg.label_cap:
-            overflow = True
-            break
-        if future_bound() > cutoff_bar():
-            break
-        grow_forward = len(fwd.heap) <= len(bwd.heap) if fwd.heap else False
-        if not bwd.heap:
-            grow_forward = True
-        side, other = (fwd, bwd) if grow_forward else (bwd, fwd)
-        label = side.pop_settle()
-        if label is None:
-            continue
-        stats.expansions += 1
-        stats.note_labels(fwd.alive_count + bwd.alive_count)
-        side.relax(label)
-        mates = other.settled.get(flip_state(label.state), ())
-        for mate in mates:
-            total = label.cost + mate.cost
-            if total > cutoff_bar():
-                continue
-            iterations += 1
-            if mu is None or total < mu:
-                mu = total
-            f_label, b_label = (label, mate) if grow_forward else (mate, label)
-            vertices = fwd.chain(f_label) + [flip_state(s) for s in reversed(bwd.chain(b_label))][1:]
-            cand = Path(vertices=vertices, total_cost=total, edge_costs=None)
-            key = cand.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            decision = accept(cand, accepted, acfg, kb, cfg.max_diff, mu)
-            if apply_decision(cand, accepted, decision):
-                assert_pairwise_dissimilar(accepted, acfg)
-
-    return _finalize(
-        "hybrid", accepted, mu, cfg, acfg, stats, iterations, coster,
-        incomplete=timed_out or overflow,
-    )
+    return _select_meets("hybrid", grid, model, mask, src, dst, cfg, cfg.ka, kb)
 
 
 ALGORITHMS = {

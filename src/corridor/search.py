@@ -1,8 +1,11 @@
 """Shortest-path engines over the implicit oriented 3D grid graph.
 
-Three engines share the same contract: :func:`dijkstra`, :func:`astar` and the
-:class:`BidiEngine` (bidirectional search exposing settled meeting states as a
-stream of events).  All of them
+Two label-setting loops serve every search.  :func:`dijkstra` and
+:func:`astar` run a single-source loop that keeps one label per state in
+dicts.  The :class:`BidiEngine` grows two :class:`_LabelSide` sweeps towards
+each other and exposes settled meeting states as a stream of events; a side
+keeps one label per state (``bds``) or several mutually dissimilar ones
+(``hybrid``), and one side on its own is the ``kspa`` sweep.  All of them
 
   * seed the source position with all 24 (h, v) orientations at cost 0 and
     accept any orientation at the destination,
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -103,8 +107,14 @@ def _extract(parent, end_state, coster) -> Path:
         u = parent[u]
         chain.append(u)
     chain.reverse()
-    edge_costs = [coster(a, b) for a, b in zip(chain, chain[1:])]
-    return Path(vertices=chain, total_cost=math.fsum(edge_costs), edge_costs=edge_costs)
+    return Path(vertices=chain, total_cost=0.0).price(coster)
+
+
+def straight_line_potential(grid: TerrainGrid, model: CostModel, dst: tuple[int, int]) -> Callable[[int, int], float]:
+    """The straight-line paving bound to ``dst`` as a function of a grid column."""
+    dxy = grid.dxy
+    dst_m = (dst[0] * dxy, dst[1] * dxy)
+    return lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), dst_m)
 
 
 def _single_source(
@@ -132,9 +142,7 @@ def _single_source(
         else:
             # Start on the straight-line bound; the planar field pays for
             # itself only once the query has done about as much work.
-            dxy = grid.dxy
-            dest_m = (dst_x * dxy, dst_y * dxy)
-            potential = lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), dest_m)
+            potential = straight_line_potential(grid, model, dst)
             switch_at = grid.nx * grid.ny
     dist: dict[AugVertex, float] = {}
     parent: dict[AugVertex, AugVertex] = {}
@@ -172,8 +180,8 @@ def _single_source(
             c = coster(u, w)
             if penalty is not None:
                 p = penalty(u, w)
-                if c + p < 0.0:
-                    raise ValueError("negative effective edge weight from penalty")
+                if p < 0.0:
+                    raise ValueError("negative edge penalty")
                 c += p
             nd = du + c
             old = dist.get(w)
@@ -196,7 +204,11 @@ def dijkstra(
     stats: Optional[SearchStats] = None,
     coster: Optional[EdgeCoster] = None,
 ) -> Optional[Path]:
-    """Minimum-cost path between ground points, or None if disconnected."""
+    """Minimum-cost path between ground points, or None if disconnected.
+
+    A ``penalty`` is added to each edge's price; a negative one raises
+    ``ValueError``.
+    """
     return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, False, coster)
 
 
@@ -220,9 +232,243 @@ def astar(
     continues on the larger of the two.  The field is memoised on
     ``coster`` per (mask, dst), so later queries that share the coster use
     it from their first settle.  Filters only remove edges, so both bounds
-    hold under any ``edge_filter``; a ``penalty`` must be non-negative.
+    hold under any ``edge_filter``.  Neither holds under a negative
+    ``penalty``, which raises ``ValueError`` as in :func:`dijkstra`.
     """
     return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, True, coster)
+
+
+def _cost_bar(opt_cost: float, max_diff: float) -> float:
+    return (1.0 + max_diff / 100.0) * opt_cost * (1.0 + 1e-12)
+
+
+class _Label:
+    """A partial path: cost, tip state, parent link and its lateral profile.
+
+    The profile is stored densely over the contiguous x-hull [lo, hi] as
+    per-column y sums and visit counts; ``means`` is derived lazily and
+    cached, since settled labels are compared against many candidates.
+    Labels grown by a one-label side carry no profile (``sums`` is None).
+    """
+
+    __slots__ = ("cost", "state", "parent", "alive", "sums", "counts", "lo", "hi", "seq", "means")
+
+    def __init__(self, cost, state, parent, sums, counts, lo, hi, seq):
+        self.cost = cost
+        self.state = state
+        self.parent = parent
+        self.alive = True
+        self.sums = sums
+        self.counts = counts
+        self.lo = lo
+        self.hi = hi
+        self.seq = seq
+        self.means = None
+
+    def mean_profile(self) -> list[float]:
+        if self.means is None:
+            self.means = [s / c for s, c in zip(self.sums, self.counts)]
+        return self.means
+
+
+class _LabelSide:
+    """One direction of a label-setting sweep, up to ``cap`` labels per state.
+
+    With ``cap == 1`` a state keeps its cheapest label, as in Dijkstra, and
+    grown labels carry no profile.  With more, the labels of a state are
+    mutually dissimilar: a new label must price within ``max_diff`` of the
+    state's cheapest label, and it either joins, replaces the most expensive,
+    or replaces the single similar label it beats.  A state whose ``cap``
+    labels have settled is closed and skipped before pricing: with a
+    consistent potential a later offer costs at least as much as every
+    settled label there, so it would be rejected anyway.  States on the
+    backward side are stored in reverse orientation and advance through the
+    reversed graph.  Heap entries are ``(key, state, seq, label)``, so ties
+    break on the state and then on the push order.
+    """
+
+    def __init__(
+        self,
+        grid: TerrainGrid,
+        mask: Optional[HeightMask],
+        coster: EdgeCoster,
+        origin: tuple[int, int],
+        forward: bool,
+        cap: int,
+        min_diff: float,
+        max_diff: float,
+        potential: Optional[Callable[[int, int], float]] = None,
+    ):
+        self.grid = grid
+        self.mask = mask
+        self.coster = coster
+        self.forward = forward
+        self.cap = cap
+        self.min_diff = min_diff
+        self.max_diff = max_diff
+        # The potential is looked up once per push, so it is tabulated per column.
+        self.rows = None
+        if potential is not None:
+            self.rows = [[potential(x, y) for x in range(grid.nx)] for y in range(grid.ny)]
+        self.origin = origin
+        self.labels: dict[AugVertex, list[_Label]] = {}
+        self.settled: dict[AugVertex, list[_Label]] = {}
+        self.closed: set[AugVertex] = set()
+        self.heap: list = []
+        self.alive_count = 0
+        self._seq = 0
+        self._offer = self._keep_cheapest if cap == 1 else self._keep_dissimilar
+        ox, oy = origin
+        for state in _seed_states(grid, mask, origin):
+            self._push(0.0, state, None, [float(oy)], [1], ox, ox)
+
+    def _push(self, cost, state, parent, sums=None, counts=None, lo=0, hi=0) -> None:
+        self._seq += 1
+        label = _Label(cost, state, parent, sums, counts, lo, hi, self._seq)
+        self.labels.setdefault(state, []).append(label)
+        self.alive_count += 1
+        key = cost + self.rows[state.y][state.x] if self.rows else cost
+        heapq.heappush(self.heap, (key, state, self._seq, label))
+
+    def _kill(self, label: _Label) -> None:
+        label.alive = False
+        self.labels[label.state].remove(label)
+        self.alive_count -= 1
+
+    def top_key(self) -> Optional[float]:
+        return self.heap[0][0] if self.heap else None
+
+    def pop_settle(self) -> Optional[_Label]:
+        heap = self.heap
+        while heap:
+            label = heapq.heappop(heap)[3]
+            if label.alive:
+                done = self.settled.setdefault(label.state, [])
+                done.append(label)
+                if len(done) == self.cap:
+                    self.closed.add(label.state)
+                return label
+        return None
+
+    def relax(self, label: _Label) -> None:
+        u = label.state
+        cost = label.cost
+        closed = self.closed
+        coster = self.coster
+        offer = self._offer
+        if self.forward:
+            for w in successors3do(self.grid, u, self.mask):
+                if w not in closed:
+                    offer(label, w, cost + coster(u, w))
+        else:
+            for w in rev_successors3do(self.grid, u, self.mask):
+                if w not in closed:
+                    offer(label, w, cost + coster(w, u))
+
+    def _keep_cheapest(self, parent: _Label, state: AugVertex, cost: float) -> None:
+        bucket = self.labels.get(state)
+        if bucket:
+            if cost >= bucket[0].cost:
+                return
+            self._kill(bucket[0])
+        self._push(cost, state, parent)
+
+    def _norm_dist(self, state: AugVertex) -> float:
+        d = math.hypot(state.x - self.origin[0], state.y - self.origin[1]) * self.grid.dxy
+        return max(d, self.grid.dxy)
+
+    def _push_extended(self, parent: _Label, state: AugVertex, cost: float) -> None:
+        # Push a label for ``parent`` extended to ``state``, with its profile.
+        hx = state.x
+        y = float(state.y)
+        if hx < parent.lo:
+            sums = [y] + parent.sums
+            counts = [1] + parent.counts
+            lo, hi = hx, parent.hi
+        elif hx > parent.hi:
+            sums = parent.sums + [y]
+            counts = parent.counts + [1]
+            lo, hi = parent.lo, hx
+        else:
+            sums = list(parent.sums)
+            counts = list(parent.counts)
+            i = hx - parent.lo
+            sums[i] += y
+            counts[i] += 1
+            lo, hi = parent.lo, parent.hi
+        self._push(cost, state, parent, sums, counts, lo, hi)
+
+    @staticmethod
+    def _candidate_means(parent: _Label, head: AugVertex) -> tuple[int, list[float]]:
+        hx = head.x
+        y = float(head.y)
+        ps, pc = parent.sums, parent.counts
+        if hx < parent.lo:
+            return hx, [y] + parent.mean_profile()
+        if hx > parent.hi:
+            return parent.lo, parent.mean_profile() + [y]
+        means = parent.mean_profile().copy()
+        i = hx - parent.lo
+        means[i] = (ps[i] + y) / (pc[i] + 1)
+        return parent.lo, means
+
+    def _similar(self, cand_lo: int, cand_means: list[float], other: _Label, stop_cells: float) -> bool:
+        # True when the area between the candidate and the label stays below
+        # the dissimilarity threshold (early exit once it cannot).
+        mb = other.mean_profile()
+        o_lo = other.lo
+        nb1 = len(mb) - 1
+        ma = cand_means
+        na1 = len(ma) - 1
+        lo = min(cand_lo, o_lo)
+        hi = max(cand_lo + na1, o_lo + nb1)
+        area = 0.0
+        for x in range(lo, hi + 1):
+            ia = x - cand_lo
+            va = ma[0 if ia < 0 else (na1 if ia > na1 else ia)]
+            ib = x - o_lo
+            vb = mb[0 if ib < 0 else (nb1 if ib > nb1 else ib)]
+            d = va - vb
+            area += d if d >= 0.0 else -d
+            if area >= stop_cells:
+                return False
+        return True
+
+    def _stop_cells(self, norm: float) -> float:
+        dxy = self.grid.dxy
+        return self.min_diff * self.grid.width_m * norm / (100.0 * dxy * dxy)
+
+    def _keep_dissimilar(self, parent: _Label, state: AugVertex, cost: float) -> None:
+        bucket = self.labels.get(state)
+        if not bucket:
+            self._push_extended(parent, state, cost)
+            return
+        cheapest = min(l.cost for l in bucket)
+        if cost > _cost_bar(cheapest, self.max_diff):
+            return
+        stop = self._stop_cells(self._norm_dist(state))
+        cand_lo, cand_means = self._candidate_means(parent, state)
+        similar = [l for l in bucket if self._similar(cand_lo, cand_means, l, stop)]
+        if not similar:
+            if len(bucket) < self.cap:
+                self._push_extended(parent, state, cost)
+            else:
+                worst = max(bucket, key=lambda l: (l.cost, l.seq))
+                if cost < worst.cost:
+                    self._kill(worst)
+                    self._push_extended(parent, state, cost)
+        elif len(similar) == 1 and cost < similar[0].cost:
+            self._kill(similar[0])
+            self._push_extended(parent, state, cost)
+
+    def chain(self, label: _Label) -> list[AugVertex]:
+        states = []
+        l: Optional[_Label] = label
+        while l is not None:
+            states.append(l.state)
+            l = l.parent
+        states.reverse()
+        return states
 
 
 @dataclass(frozen=True)
@@ -237,18 +483,24 @@ class MeetEvent:
 
 
 class BidiEngine:
-    """Bidirectional search emitting every settled meeting state as an event.
+    """Bidirectional search emitting every settled meeting pair as an event.
 
-    The backward search runs on the reversed graph with states stored in
-    reverse orientation (``flip_state``); a forward label with orientation
-    (h, v) therefore pairs with the backward label at (h+4 mod 8, -v) on the
-    same position — other orientation pairs are distinct meets.  An event's
-    path is the cheapest source-to-state path concatenated with the cheapest
-    state-to-destination continuation.
+    Each direction is a :class:`_LabelSide` keeping up to ``labels`` labels
+    per state; ``min_diff`` and ``max_diff`` set its per-state rule when
+    ``labels`` exceeds 1.  With ``use_ikeda`` the sides are keyed by the
+    average-difference potentials of the straight-line bounds.  The backward
+    search runs on the reversed graph with states stored in reverse
+    orientation (``flip_state``); a forward label with orientation (h, v)
+    therefore pairs with the backward labels at (h+4 mod 8, -v) on the same
+    position — other orientation pairs are distinct meets.  Each settle
+    yields one event per settled label at its mate state; the event's path
+    concatenates the two labels' chains.
 
     A cutoff (settable at construction or any time via :meth:`set_cutoff`)
     stops event production once both frontiers can no longer produce a meet
-    at or below it.
+    at or below it.  The search also stops, and sets ``incomplete``, when a
+    settle finds ``deadline`` (a :func:`time.monotonic` time) passed or the
+    two sides holding more than ``label_cap`` labels.
     """
 
     def __init__(
@@ -262,45 +514,31 @@ class BidiEngine:
         cutoff: Optional[float] = None,
         stats: Optional[SearchStats] = None,
         coster: Optional[EdgeCoster] = None,
+        labels: int = 1,
+        min_diff: float = 0.0,
+        max_diff: float = 0.0,
+        deadline: Optional[float] = None,
+        label_cap: Optional[int] = None,
     ):
-        self.grid = grid
-        self.model = model
-        self.mask = mask
         self.stats = stats
-        self.coster = coster if coster is not None else EdgeCoster(grid, model)
+        coster = coster if coster is not None else EdgeCoster(grid, model)
         self._cutoff = math.inf if cutoff is None else cutoff
-        self._src = (src[0], src[1])
-        self._dst = (dst[0], dst[1])
-        dxy = grid.dxy
-        src_m = (src[0] * dxy, src[1] * dxy)
-        dst_m = (dst[0] * dxy, dst[1] * dxy)
+        self._deadline = math.inf if deadline is None else deadline
+        self._label_cap = math.inf if label_cap is None else label_cap
         if use_ikeda:
-            hf = lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), dst_m)
-            hb = lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), src_m)
-            self._pf, self._pb = ikeda_potentials(hf, hb)
+            hf = straight_line_potential(grid, model, dst)
+            hb = straight_line_potential(grid, model, src)
+            pf, pb = ikeda_potentials(hf, hb)
+            # Keys carry potentials; a frontier key less the opposite
+            # endpoint's term bounds the totals of the meets it can make.
+            self._shift_f, self._shift_b = pf(*dst), pb(*src)
         else:
-            self._pf = self._pb = None
-        self._dist_f: dict[AugVertex, float] = {}
-        self._dist_b: dict[AugVertex, float] = {}
-        self._parent_f: dict[AugVertex, AugVertex] = {}
-        self._parent_b: dict[AugVertex, AugVertex] = {}
-        self._settled_f: set[AugVertex] = set()
-        self._settled_b: set[AugVertex] = set()
-        self._heap_f: list[tuple[float, AugVertex]] = []
-        self._heap_b: list[tuple[float, AugVertex]] = []
-        for s in _seed_states(grid, mask, src):
-            self._dist_f[s] = 0.0
-            heapq.heappush(self._heap_f, (self._fkey(s, 0.0), s))
-        for s in _seed_states(grid, mask, dst):
-            self._dist_b[s] = 0.0
-            heapq.heappush(self._heap_b, (self._bkey(s, 0.0), s))
+            pf = pb = None
+            self._shift_f = self._shift_b = 0.0
+        self._fwd = _LabelSide(grid, mask, coster, src, True, labels, min_diff, max_diff, pf)
+        self._bwd = _LabelSide(grid, mask, coster, dst, False, labels, min_diff, max_diff, pb)
         self.best_meet: Optional[float] = None
-
-    def _fkey(self, state: AugVertex, d: float) -> float:
-        return d + self._pf(state.x, state.y) if self._pf else d
-
-    def _bkey(self, state: AugVertex, d: float) -> float:
-        return d + self._pb(state.x, state.y) if self._pb else d
+        self.incomplete = False
 
     def set_cutoff(self, cutoff: float) -> None:
         self._cutoff = cutoff
@@ -308,85 +546,54 @@ class BidiEngine:
     def _future_total_bound(self) -> float:
         """No event produced after this point can have a smaller total."""
         bounds = []
-        if self._heap_f:
-            top_f = self._heap_f[0][0]
-            # Keys carry potentials; un-shift by the opposite endpoint's term.
-            bounds.append(top_f - self._pf(*self._dst) if self._pf else top_f)
-        if self._heap_b:
-            top_b = self._heap_b[0][0]
-            bounds.append(top_b + self._pf(*self._src) if self._pf else top_b)
+        top_f = self._fwd.top_key()
+        if top_f is not None:
+            bounds.append(top_f - self._shift_f)
+        top_b = self._bwd.top_key()
+        if top_b is not None:
+            bounds.append(top_b - self._shift_b)
         return min(bounds) if bounds else math.inf
 
     def _cutoff_bar(self) -> float:
         return self._cutoff * (1.0 + 1e-9) + 1e-9
 
     def events(self) -> Iterator[MeetEvent]:
-        """Generate meet events until both frontiers pass the cutoff or drain."""
-        while self._heap_f or self._heap_b:
+        """Generate meet events until both frontiers pass the cutoff or drain,
+        or a limit stops the search."""
+        fwd, bwd = self._fwd, self._bwd
+        stats = self.stats
+        while fwd.heap or bwd.heap:
+            if time.monotonic() > self._deadline or fwd.alive_count + bwd.alive_count > self._label_cap:
+                self.incomplete = True
+                return
             if self._future_total_bound() > self._cutoff_bar():
                 return
-            grow_forward = len(self._heap_f) <= len(self._heap_b) if self._heap_f else False
-            if not self._heap_b:
-                grow_forward = True
-            event = self._grow(forward=grow_forward)
-            if event is not None and event.total <= self._cutoff_bar():
-                yield event
-
-    def _grow(self, forward: bool) -> Optional[MeetEvent]:
-        heap = self._heap_f if forward else self._heap_b
-        settled = self._settled_f if forward else self._settled_b
-        dist = self._dist_f if forward else self._dist_b
-        parent = self._parent_f if forward else self._parent_b
-        while heap:
-            _, u = heapq.heappop(heap)
-            if u not in settled:
-                break
-        else:
-            return None
-        settled.add(u)
-        if self.stats is not None:
-            self.stats.expansions += 1
-            self.stats.note_labels(len(self._dist_f) + len(self._dist_b))
-        du = dist[u]
-        succ = successors3do(self.grid, u, self.mask) if forward else rev_successors3do(self.grid, u, self.mask)
-        for w in succ:
-            if w in settled:
+            # Grow the side with the smaller heap, forward on a tie.
+            forward = not bwd.heap or 0 < len(fwd.heap) <= len(bwd.heap)
+            side, other = (fwd, bwd) if forward else (bwd, fwd)
+            label = side.pop_settle()
+            if label is None:
                 continue
-            c = self.coster(u, w) if forward else self.coster(w, u)
-            nd = du + c
-            old = dist.get(w)
-            if old is None or nd < old:
-                dist[w] = nd
-                parent[w] = u
-                key = self._fkey(w, nd) if forward else self._bkey(w, nd)
-                heapq.heappush(heap, (key, w))
-        mate = flip_state(u)
-        other_settled = self._settled_b if forward else self._settled_f
-        if mate in other_settled:
-            state = u if forward else mate
-            return self._emit(state)
-        return None
+            if stats is not None:
+                stats.expansions += 1
+                stats.note_labels(fwd.alive_count + bwd.alive_count)
+            side.relax(label)
+            for mate in other.settled.get(flip_state(label.state), ()):
+                f, b = (label, mate) if forward else (mate, label)
+                total = f.cost + b.cost
+                if self.best_meet is None or total < self.best_meet:
+                    self.best_meet = total
+                if total <= self._cutoff_bar():
+                    yield self._event(f, b, total)
 
-    def _emit(self, state: AugVertex) -> MeetEvent:
-        cf = self._dist_f[state]
-        cb = self._dist_b[flip_state(state)]
-        total = cf + cb
-        if self.best_meet is None or total < self.best_meet:
-            self.best_meet = total
-        fwd = [state]
-        u = state
-        parent_f = self._parent_f
-        while u in parent_f:
-            u = parent_f[u]
-            fwd.append(u)
-        fwd.reverse()
-        u = flip_state(state)
-        parent_b = self._parent_b
-        while u in parent_b:
-            u = parent_b[u]
-            fwd.append(flip_state(u))
-        path = Path(vertices=fwd, total_cost=total, edge_costs=None)
-        return MeetEvent(state=state, cost_from_src=cf, cost_to_dst=cb, total=total, path=path)
+    def _event(self, f: _Label, b: _Label, total: float) -> MeetEvent:
+        vertices = self._fwd.chain(f)
+        u = b.parent
+        while u is not None:
+            vertices.append(flip_state(u.state))
+            u = u.parent
+        path = Path(vertices=vertices, total_cost=total, edge_costs=None)
+        return MeetEvent(state=f.state, cost_from_src=f.cost, cost_to_dst=b.cost, total=total, path=path)
 
 
 def bidi_engine(
@@ -399,6 +606,14 @@ def bidi_engine(
     cutoff: Optional[float] = None,
     stats: Optional[SearchStats] = None,
     coster: Optional[EdgeCoster] = None,
+    labels: int = 1,
+    min_diff: float = 0.0,
+    max_diff: float = 0.0,
+    deadline: Optional[float] = None,
+    label_cap: Optional[int] = None,
 ) -> BidiEngine:
     """Construct a :class:`BidiEngine`; iterate its ``events()`` for meets."""
-    return BidiEngine(grid, model, mask, src, dst, use_ikeda=use_ikeda, cutoff=cutoff, stats=stats, coster=coster)
+    return BidiEngine(
+        grid, model, mask, src, dst, use_ikeda=use_ikeda, cutoff=cutoff, stats=stats, coster=coster,
+        labels=labels, min_diff=min_diff, max_diff=max_diff, deadline=deadline, label_cap=label_cap,
+    )

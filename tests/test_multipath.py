@@ -221,6 +221,20 @@ class TestKShortestAdaptation:
         assert r.paths[0].vertices == p.vertices
         assert r.paths[0].total_cost == pytest.approx(p.total_cost, rel=1e-12)
 
+    def test_astar_same_paths_fewer_expansions(self, lanes, lanes_mask, lane_model):
+        from corridor.terrain import synth_terrain
+        c04 = synth_terrain(41, 32, 16, 4.0)
+        cases = [
+            (lanes, lanes_mask, LANES_SRC, LANES_DST),
+            (c04, simple_height_mask(c04, 1.0, 3), (0, 8), (31, 8)),
+        ]
+        for grid, mask, src, dst in cases:
+            plain = run_kspa(grid, lane_model, mask, src, dst, MultipathConfig(algorithm="kspa", timeout=120))
+            guided = run_kspa(grid, lane_model, mask, src, dst,
+                              MultipathConfig(algorithm="kspa", use_astar=True, timeout=120))
+            assert [p.vertices for p in guided.paths] == [p.vertices for p in plain.paths]
+            assert guided.expansions < plain.expansions
+
 
 class TestBidirectionalSelection:
     def test_flat_wide_grid_finds_three(self, model):
@@ -275,6 +289,11 @@ class TestBidirectionalSelection:
 
     def test_timeout_marks_incomplete(self, lanes, lanes_mask, lane_model):
         cfg = MultipathConfig(algorithm="bds", timeout=0.0)
+        r = run_bds(lanes, lane_model, lanes_mask, LANES_SRC, LANES_DST, cfg)
+        assert r.incomplete and not r.solved
+
+    def test_label_cap_marks_incomplete(self, lanes, lanes_mask, lane_model):
+        cfg = MultipathConfig(algorithm="bds", timeout=60, label_cap=100)
         r = run_bds(lanes, lane_model, lanes_mask, LANES_SRC, LANES_DST, cfg)
         assert r.incomplete and not r.solved
 

@@ -131,6 +131,19 @@ class TestAstar:
         p = astar(g, model, None, (2, 2), (2, 2))
         assert p.total_cost == 0.0 and len(p.vertices) == 1
 
+    def test_negative_penalty_rejected(self, model):
+        # A negative penalty breaks both bounds even where c + p stays >= 0.
+        # With it on edges into row 0, dijkstra used to find an effective
+        # cost of 92.56 and astar to return 190.0.  Both raise on the first
+        # negative penalty they price; astar never prices an edge into row 0
+        # there, so it is given the penalty on row 3, next to its route.
+        g = flat_grid(nx=20, ny=9)
+        coster = EdgeCoster(g, model)
+        for search, row in ((dijkstra, 0), (astar, 3)):
+            penalty = lambda u, w: -0.9 * coster(u, w) if w.y == row else 0.0
+            with pytest.raises(ValueError):
+                search(g, model, None, (0, 4), (19, 4), penalty=penalty)
+
     def test_settle_order_monotone_on_reduced_keys(self, model):
         grid, mask, src, dst = random_instance(5)
         stats = SearchStats(record_settles=True)
