@@ -131,7 +131,9 @@ def run_cell(
     cfg = replace(base_cfg, algorithm=solver.algorithm, use_astar=solver.use_astar)
     t0 = time.perf_counter()
     error = ""
-    result: Optional[MultipathResult] = None
+    # A failed cell records the empty result: no paths, unsolved.
+    result = MultipathResult(algorithm=solver.algorithm, paths=[], optimal_cost=None,
+                             cost_ratios=[], area_matrix=[], solved=False)
     try:
         if solver.mask == "hr":
             mask = simple_height_mask(grid, solver.hm, solver.r)
@@ -144,15 +146,6 @@ def run_cell(
     except Exception as exc:  # record, never abort the matrix
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0
-    if result is None:
-        return ExperimentRecord(
-            map_id=bmap.map_id, dim_x=grid.nx, dim_y=grid.ny, dim_z=grid.n_levels,
-            frac_a=breakdown.fracA, frac_b=breakdown.fracB, frac_c=breakdown.fracC,
-            solver=solver.name, algorithm=solver.algorithm,
-            astar=solver.use_astar, hr=solver.mask == "hr", ehr=solver.mask == "ehr",
-            wall_time=wall, expansions=0, peak_labels=0, solved=False,
-            path_costs=(), pairwise_areas=(), error=error,
-        )
     return ExperimentRecord(
         map_id=bmap.map_id, dim_x=grid.nx, dim_y=grid.ny, dim_z=grid.n_levels,
         frac_a=breakdown.fracA, frac_b=breakdown.fracB, frac_c=breakdown.fracC,

@@ -49,7 +49,7 @@ SOLVE_DEFAULTS = {
     "penalty_width": "10",
     "penalty_max": "320",
     "ka": "2",
-    "kb": "3",
+    "kb": "",                # blank: k
     "w": "",                 # blank: derived from min_diff and map width
     "timeout": "300",
     "paving_rate": "1.0",
@@ -146,7 +146,7 @@ def cmd_solve(config_path: str) -> int:
         penalty_width=float(cfg["penalty_width"]),
         penalty_max=float(cfg["penalty_max"]),
         ka=int(cfg["ka"]),
-        kb=int(cfg["kb"]),
+        kb=int(cfg["kb"]) if cfg["kb"] else None,
         timeout=float(cfg["timeout"]),
         use_astar=_bool(cfg["astar"]),
     )

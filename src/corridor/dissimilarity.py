@@ -10,11 +10,14 @@ distance between the endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from operator import truediv
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .search import Path
+if TYPE_CHECKING:
+    from .search import Path
 
 
 @dataclass(frozen=True)
@@ -33,15 +36,87 @@ class AreaConfig:
             raise ValueError("map_width, endpoint_distance and dxy must be positive")
 
 
-def _profile(path: Path) -> tuple[int, int, dict[int, float]]:
-    # One pass: mean y (grid units) of the path's vertices in each x column.
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for vtx in path.vertices:
-        sums[vtx.x] = sums.get(vtx.x, 0.0) + vtx.y
-        counts[vtx.x] = counts.get(vtx.x, 0) + 1
-    means = {x: sums[x] / counts[x] for x in sums}
-    return min(means), max(means), means
+def cost_bar(opt_cost: float, max_diff: float) -> float:
+    """The most a path may cost: ``max_diff`` percent over ``opt_cost``,
+    with a relative slack of 1e-12 for rounding."""
+    return (1.0 + max_diff / 100.0) * opt_cost * (1.0 + 1e-12)
+
+
+class Profile:
+    """The lateral profile of a path: the y sums and visit counts of its
+    vertices in each x column of its contiguous x-hull [lo, hi].
+
+    Consecutive vertices are at most one column apart, as on every grid
+    path, so each column of the hull is visited.  The per-column means are
+    derived when first asked for and cached, since a profile is compared
+    against many others.  The search engine's labels extend this class, so
+    a label's profile costs no extra object.
+    """
+
+    __slots__ = ("sums", "counts", "lo", "hi", "_means")
+
+    def __init__(self, base: Optional[Profile], x: int, y: float):
+        """The profile of ``base`` extended by a vertex at (x, y); with no
+        ``base``, the profile of that one vertex."""
+        y = float(y)
+        if base is None:
+            self.sums, self.counts, self.lo, self.hi = [y], [1], x, x
+        elif x < base.lo:
+            self.sums, self.counts, self.lo, self.hi = [y] + base.sums, [1] + base.counts, x, base.hi
+        elif x > base.hi:
+            self.sums, self.counts, self.lo, self.hi = base.sums + [y], base.counts + [1], base.lo, x
+        else:
+            self.sums, self.counts, self.lo, self.hi = list(base.sums), list(base.counts), base.lo, base.hi
+            i = x - base.lo
+            self.sums[i] += y
+            self.counts[i] += 1
+        self._means = None
+
+    @classmethod
+    def of_path(cls, vertices: Sequence) -> Profile:
+        """The profile of a whole vertex sequence, built in one pass."""
+        lo = min(v.x for v in vertices)
+        hi = max(v.x for v in vertices)
+        sums = [0.0] * (hi - lo + 1)
+        counts = [0] * (hi - lo + 1)
+        for v in vertices:
+            sums[v.x - lo] += v.y
+            counts[v.x - lo] += 1
+        if 0 in counts:
+            raise ValueError("consecutive path vertices must be at most one column apart")
+        prof = cls.__new__(cls)
+        prof.sums, prof.counts, prof.lo, prof.hi, prof._means = sums, counts, lo, hi, None
+        return prof
+
+    def means(self) -> list[float]:
+        """Mean y per column of the hull, from ``lo`` to ``hi``."""
+        if self._means is None:
+            self._means = list(map(truediv, self.sums, self.counts))
+        return self._means
+
+    def mean_at(self, x: int) -> float:
+        """Mean y at column ``x``, held at the end values outside the hull."""
+        means = self.means()
+        return means[min(max(x - self.lo, 0), len(means) - 1)]
+
+
+def area_cells(a: Profile, b: Profile, stop: float = math.inf) -> float:
+    """Area between two profiles in grid cells: the sum of |mean gap| over
+    the union of their hulls, each profile held at its end values outside
+    its own hull.  Once the running sum reaches ``stop`` it is returned as
+    it stands, so ``area_cells(a, b, s) < s`` decides like the full sum."""
+    ma, mb = a.means(), b.means()
+    a_lo, b_lo = a.lo, b.lo
+    na1, nb1 = len(ma) - 1, len(mb) - 1
+    area = 0.0
+    for x in range(min(a_lo, b_lo), max(a.hi, b.hi) + 1):
+        ia = x - a_lo
+        ib = x - b_lo
+        d = ma[0 if ia < 0 else (na1 if ia > na1 else ia)] - mb[0 if ib < 0 else (nb1 if ib > nb1 else ib)]
+        area += d if d >= 0.0 else -d
+        if area >= stop:
+            break
+    return area
 
 
 def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
@@ -53,24 +128,9 @@ def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
     qs, qe = q.vertices[0], q.vertices[-1]
     if (ps.x, ps.y) != (qs.x, qs.y) or (pe.x, pe.y) != (qe.x, qe.y):
         raise ValueError("endpoint mismatch: paths must share source and destination")
-    ops = 0
-    lo_p, hi_p, mp = _profile(p)
-    ops += len(p.vertices)
-    lo_q, hi_q, mq = _profile(q)
-    ops += len(q.vertices)
-    lo = min(lo_p, lo_q)
-    hi = max(hi_p, hi_q)
-    area_cells = 0.0
-    for x in range(lo, hi + 1):
-        yp = mp.get(x)
-        if yp is None:
-            yp = mp[lo_p] if x < lo_p else mp[hi_p]
-        yq = mq.get(x)
-        if yq is None:
-            yq = mq[lo_q] if x < lo_q else mq[hi_q]
-        area_cells += abs(yp - yq)
-        ops += 1
-    area_m2 = area_cells * cfg.dxy * cfg.dxy
+    a, b = Profile.of_path(p.vertices), Profile.of_path(q.vertices)
+    ops = len(p.vertices) + len(q.vertices) + max(a.hi, b.hi) - min(a.lo, b.lo) + 1
+    area_m2 = area_cells(a, b) * cfg.dxy * cfg.dxy
     percent = 100.0 * area_m2 / (cfg.map_width * cfg.endpoint_distance)
     return percent, ops
 
@@ -78,6 +138,27 @@ def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
 def area_diff(p: Path, q: Path, cfg: AreaConfig) -> float:
     """Symmetric percentage area difference between two paths (O(L))."""
     return area_diff_with_ops(p, q, cfg)[0]
+
+
+def place(costs: Sequence[float], similar: Sequence[int], cost: float, room: int) -> Union[int, str]:
+    """Where a candidate of ``cost`` goes among members of ``costs``, of
+    which those at the indices ``similar`` are too similar to it.
+
+    Dissimilar to every member: ``"add"`` while fewer than ``room`` members
+    are kept, otherwise the index of the most expensive member (the last
+    one on a tie) if the candidate is cheaper.  Similar to exactly one
+    member: that member's index if the candidate is cheaper.  Anything else
+    is ``"reject"``: no single replacement could restore pairwise
+    dissimilarity.
+    """
+    if not similar:
+        if len(costs) < room:
+            return "add"
+        worst = max(range(len(costs)), key=lambda i: (costs[i], i))
+        return worst if cost < costs[worst] else "reject"
+    if len(similar) == 1 and cost < costs[similar[0]]:
+        return similar[0]
+    return "reject"
 
 
 class Outcome(Enum):
@@ -108,24 +189,13 @@ def accept(
     member: replaces it if cheaper.  Similar to two or more: rejected, since
     no single replacement could restore pairwise dissimilarity.
     """
-    if candidate.total_cost > (1.0 + max_diff / 100.0) * opt_cost * (1.0 + 1e-12):
+    if candidate.total_cost > cost_bar(opt_cost, max_diff):
         return Decision(Outcome.REJECT)
-    similar: list[int] = []
-    for i, other in enumerate(accepted):
-        if area_diff(candidate, other, cfg) < cfg.min_diff:
-            similar.append(i)
-    if not similar:
-        if len(accepted) < k:
-            return Decision(Outcome.ADD)
-        worst = max(range(len(accepted)), key=lambda i: (accepted[i].total_cost, i))
-        if candidate.total_cost < accepted[worst].total_cost:
-            return Decision(Outcome.REPLACE, worst)
-        return Decision(Outcome.REJECT)
-    if len(similar) == 1:
-        i = similar[0]
-        if candidate.total_cost < accepted[i].total_cost:
-            return Decision(Outcome.REPLACE, i)
-    return Decision(Outcome.REJECT)
+    similar = [i for i, other in enumerate(accepted) if area_diff(candidate, other, cfg) < cfg.min_diff]
+    where = place([p.total_cost for p in accepted], similar, candidate.total_cost, k)
+    if isinstance(where, int):
+        return Decision(Outcome.REPLACE, where)
+    return Decision(Outcome(where))
 
 
 def apply_decision(candidate: Path, accepted: list[Path], decision: Decision) -> bool:

@@ -30,12 +30,12 @@ from typing import Optional
 from .cost import CostModel, EdgeCoster
 from .dissimilarity import (
     AreaConfig,
-    Outcome,
-    _profile,
+    Profile,
     accept,
     apply_decision,
     area_diff,
     assert_pairwise_dissimilar,
+    cost_bar,
     pairwise_areas,
 )
 # perfbench/tracing.py rebinds the successor functions here too, so they stay imported.
@@ -43,7 +43,6 @@ from .graph import AugVertex, ground_z_index, rev_successors3do, successors3do
 from .search import (
     Path,
     SearchStats,
-    _cost_bar,
     _LabelSide,
     astar,
     bidi_engine,
@@ -148,7 +147,6 @@ def _finalize(
     stats: SearchStats,
     iterations: int,
     coster: Optional[EdgeCoster] = None,
-    incomplete: bool = False,
 ) -> MultipathResult:
     if coster is not None:
         for p in paths:
@@ -157,11 +155,11 @@ def _finalize(
     ratios = [p.total_cost / opt_cost for p in paths] if opt_cost else []
     matrix = pairwise_areas(paths, acfg)
     solved = (
-        not incomplete
+        not stats.incomplete
         and opt_cost is not None
         and len(paths) == cfg.k
         and abs(paths[0].total_cost - opt_cost) <= 1e-9 * max(1.0, opt_cost)
-        and all(r <= 1.0 + cfg.max_diff / 100.0 + 1e-12 for r in ratios)
+        and all(p.total_cost <= cost_bar(opt_cost, cfg.max_diff) for p in paths)
         and all(
             matrix[i][j] >= cfg.min_diff - 1e-9
             for i in range(len(paths))
@@ -180,7 +178,7 @@ def _finalize(
         expansions=stats.expansions,
         iterations=iterations,
         peak_labels=stats.peak_labels,
-        incomplete=incomplete,
+        incomplete=stats.incomplete,
     )
 
 
@@ -205,9 +203,10 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
     path and re-run the engine; failed cuts are restored and the next most
     sensitive untried edge is cut instead.  Stops early once a candidate is
     too expensive, since later candidates only get costlier."""
-    deadline = time.monotonic() + cfg.timeout
     stats = SearchStats()
     coster = EdgeCoster(grid, model)
+    # Every search shares the counters, the price memo and the limits.
+    common = dict(stats=stats, coster=coster, deadline=time.monotonic() + cfg.timeout, label_cap=cfg.label_cap)
     searcher = astar if cfg.use_astar else dijkstra
     acfg = _area_config(grid, src, dst, cfg.min_diff)
     w = cfg.w if cfg.w is not None else sensitivity_width(cfg.min_diff, grid.ny)
@@ -223,32 +222,28 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
         for cells in walls:
             blocked.update(cells)
 
-    opt = searcher(grid, model, mask, src, dst, stats=stats, coster=coster)
+    opt = searcher(grid, model, mask, src, dst, **common)
     iterations = 1
     if opt is None:
         return _finalize("se", [], None, cfg, acfg, stats, iterations, coster)
     paths = [opt]
-    bar = _cost_bar(opt.total_cost, cfg.max_diff)
+    bar = cost_bar(opt.total_cost, cfg.max_diff)
 
     current = opt
     scores = sensitivity(current, grid, w)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     next_idx = 0
-    timed_out = False
 
-    while len(paths) < cfg.k:
-        if time.monotonic() > deadline:
-            timed_out = True
-            break
-        if next_idx >= len(order):
-            break
+    while len(paths) < cfg.k and next_idx < len(order):
         head = current.vertices[order[next_idx] + 1]
         next_idx += 1
         wall = _wall_positions(grid, head, w)
         walls.append(wall)
         blocked.update(wall)
-        cand = searcher(grid, model, mask, src, dst, edge_filter=edge_filter, stats=stats, coster=coster)
+        cand = searcher(grid, model, mask, src, dst, edge_filter=edge_filter, **common)
         iterations += 1
+        if stats.incomplete:
+            break
         if cand is None:
             walls.pop()
             rebuild_blocked()
@@ -266,7 +261,7 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
         scores = sensitivity(current, grid, w)
         order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
         next_idx = 0
-    return _finalize("se", paths, opt.total_cost, cfg, acfg, stats, iterations, coster, incomplete=timed_out)
+    return _finalize("se", paths, opt.total_cost, cfg, acfg, stats, iterations, coster)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +326,16 @@ def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float
     reach = max(1.0, (width_percent / 100.0) * (grid.ny - 1))
     per_path = []
     for p in paths:
-        lo, hi, means = _profile(p)
+        # The centerline per map column, looked up once per priced edge.
+        profile = Profile.of_path(p.vertices)
+        ybar = [profile.mean_at(x) for x in range(grid.nx)]
         peak = (width_percent / 100.0) * (p.total_cost / max(1, len(p.vertices) - 1))
-        per_path.append((means, lo, hi, peak))
+        per_path.append((ybar, peak))
 
     def penalty(u: AugVertex, v: AugVertex) -> float:
         total = 0.0
-        for means, lo, hi, peak in per_path:
-            ybar = means.get(v.x)
-            if ybar is None:
-                ybar = means[lo] if v.x < lo else means[hi]
-            lateral = abs(v.y - ybar)
+        for ybar, peak in per_path:
+            lateral = abs(v.y - ybar[v.x])
             if lateral < reach:
                 total += peak * (1.0 - lateral / reach)
         return total
@@ -353,31 +347,26 @@ def run_ipa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResul
     """Penalize corridors around accepted paths and re-search, adapting the
     penalty width by the bracket rules until k paths are found or the bracket
     is exhausted.  Reported path costs are always un-penalized."""
-    deadline = time.monotonic() + cfg.timeout
     stats = SearchStats()
     coster = EdgeCoster(grid, model)
+    # Every search shares the counters, the price memo and the limits.
+    common = dict(stats=stats, coster=coster, deadline=time.monotonic() + cfg.timeout, label_cap=cfg.label_cap)
     searcher = astar if cfg.use_astar else dijkstra
     acfg = _area_config(grid, src, dst, cfg.min_diff)
 
-    opt = searcher(grid, model, mask, src, dst, stats=stats, coster=coster)
+    opt = searcher(grid, model, mask, src, dst, **common)
     iterations = 1
     if opt is None:
         return _finalize("ipa", [], None, cfg, acfg, stats, iterations, coster)
     paths = [opt]
-    bar = _cost_bar(opt.total_cost, cfg.max_diff)
+    bar = cost_bar(opt.total_cost, cfg.max_diff)
     bracket = IpaBracket(cfg.penalty_width, cfg.penalty_max)
-    timed_out = False
 
     while len(paths) < cfg.k:
-        if time.monotonic() > deadline:
-            timed_out = True
-            break
         penalty = _corridor_penalty(grid, paths, bracket.width)
-        cand = searcher(
-            grid, model, mask, src, dst, penalty=penalty, stats=stats, coster=coster
-        )
+        cand = searcher(grid, model, mask, src, dst, penalty=penalty, **common)
         iterations += 1
-        if cand is None:
+        if cand is None:  # disconnected, or cut short by a limit
             break
         if cand.total_cost > bar:
             outcome = "expensive"
@@ -388,7 +377,7 @@ def run_ipa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResul
             paths.append(cand)
         if not bracket.step(outcome):
             break
-    return _finalize("ipa", paths, opt.total_cost, cfg, acfg, stats, iterations, coster, incomplete=timed_out)
+    return _finalize("ipa", paths, opt.total_cost, cfg, acfg, stats, iterations, coster)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +403,10 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
     dst_paths: list[Path] = []
     opt_cost: Optional[float] = None
     iterations = 0
-    timed_out = False
-    overflow = False
 
     while side.heap:
-        if time.monotonic() > deadline:
-            timed_out = True
-            break
-        if side.alive_count > cfg.label_cap:
-            overflow = True
+        if time.monotonic() > deadline or side.alive_count > cfg.label_cap:
+            stats.incomplete = True
             break
         label = side.pop_settle()
         if label is None:
@@ -434,7 +418,7 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
         # Keys are popped in order, so once one passes the bar every later
         # label reaches the destination too expensive.
         key = label.cost + potential(s.x, s.y) if potential else label.cost
-        if opt_cost is not None and key > _cost_bar(opt_cost, cfg.max_diff):
+        if opt_cost is not None and key > cost_bar(opt_cost, cfg.max_diff):
             break
         if s.x == dst_x and s.y == dst_y and s.z == dst_z:
             cand = Path(vertices=side.chain(label), total_cost=0.0).price(coster)
@@ -446,10 +430,7 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
                 break
         side.relax(label)
 
-    return _finalize(
-        "kspa", dst_paths, opt_cost, cfg, acfg, stats, iterations, coster,
-        incomplete=timed_out or overflow,
-    )
+    return _finalize("kspa", dst_paths, opt_cost, cfg, acfg, stats, iterations, coster)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +460,7 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
         iterations += 1
         if mu is None or event.total < mu:
             mu = event.total
-            engine.set_cutoff((1.0 + cfg.max_diff / 100.0) * mu)
+            engine.set_cutoff(cost_bar(mu, cfg.max_diff))
         key = event.path.key()
         if key in seen:
             continue
@@ -487,9 +468,7 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
         decision = accept(event.path, accepted, acfg, kb, cfg.max_diff, mu)
         if apply_decision(event.path, accepted, decision):
             assert_pairwise_dissimilar(accepted, acfg)
-    return _finalize(
-        name, accepted, mu, cfg, acfg, stats, iterations, coster, incomplete=engine.incomplete
-    )
+    return _finalize(name, accepted, mu, cfg, acfg, stats, iterations, coster)
 
 
 def run_bds(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, astar_heuristic, ikeda_potentials
+from .dissimilarity import Profile, area_cells, cost_bar, place
 from .graph import (
     AugVertex,
     HeightMask,
@@ -42,12 +43,14 @@ EdgePenalty = Callable[[AugVertex, AugVertex], float]
 
 @dataclass
 class SearchStats:
-    """Counters exported for benchmarking: settles and peak stored labels."""
+    """Counters exported for benchmarking: settles and peak stored labels.
+    ``incomplete`` is set when a deadline or a label cap cut a search short."""
 
     expansions: int = 0
     peak_labels: int = 0
     settle_keys: list = field(default_factory=list)
     record_settles: bool = False
+    incomplete: bool = False
 
     def note_labels(self, count: int) -> None:
         if count > self.peak_labels:
@@ -128,6 +131,8 @@ def _single_source(
     stats: Optional[SearchStats],
     guided: bool,
     coster: Optional[EdgeCoster],
+    deadline: Optional[float],
+    label_cap: Optional[int],
 ) -> Optional[Path]:
     if coster is None:
         coster = EdgeCoster(grid, model)
@@ -152,10 +157,16 @@ def _single_source(
     for s in _seed_states(grid, mask, src):
         dist[s] = 0.0
         heapq.heappush(heap, (pot0, s))
+    deadline = math.inf if deadline is None else deadline
+    label_cap = math.inf if label_cap is None else label_cap
     while heap:
         key, u = heapq.heappop(heap)
         if u in settled:
             continue
+        if time.monotonic() > deadline or len(dist) > label_cap:
+            if stats is not None:
+                stats.incomplete = True
+            return None
         settled.add(u)
         if stats is not None:
             stats.expansions += 1
@@ -203,13 +214,21 @@ def dijkstra(
     penalty: Optional[EdgePenalty] = None,
     stats: Optional[SearchStats] = None,
     coster: Optional[EdgeCoster] = None,
+    *,
+    deadline: Optional[float] = None,
+    label_cap: Optional[int] = None,
 ) -> Optional[Path]:
     """Minimum-cost path between ground points, or None if disconnected.
 
     A ``penalty`` is added to each edge's price; a negative one raises
-    ``ValueError``.
+    ``ValueError``.  The search gives up, returning None and setting
+    ``stats.incomplete``, when a settle finds ``deadline`` (a
+    :func:`time.monotonic` time) passed or more than ``label_cap`` states
+    labelled.
     """
-    return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, False, coster)
+    return _single_source(
+        grid, model, mask, src, dst, edge_filter, penalty, stats, False, coster, deadline, label_cap
+    )
 
 
 def astar(
@@ -222,6 +241,9 @@ def astar(
     penalty: Optional[EdgePenalty] = None,
     stats: Optional[SearchStats] = None,
     coster: Optional[EdgeCoster] = None,
+    *,
+    deadline: Optional[float] = None,
+    label_cap: Optional[int] = None,
 ) -> Optional[Path]:
     """Same result contract as :func:`dijkstra`, guided by a consistent
     lower bound on the remaining cost, so it never settles more states.
@@ -235,40 +257,28 @@ def astar(
     hold under any ``edge_filter``.  Neither holds under a negative
     ``penalty``, which raises ``ValueError`` as in :func:`dijkstra`.
     """
-    return _single_source(grid, model, mask, src, dst, edge_filter, penalty, stats, True, coster)
+    return _single_source(
+        grid, model, mask, src, dst, edge_filter, penalty, stats, True, coster, deadline, label_cap
+    )
 
 
-def _cost_bar(opt_cost: float, max_diff: float) -> float:
-    return (1.0 + max_diff / 100.0) * opt_cost * (1.0 + 1e-12)
+class _Label(Profile):
+    """A partial path: cost, tip state, parent link and, on a multi-label
+    side, the lateral :class:`~corridor.dissimilarity.Profile` of its states.
 
-
-class _Label:
-    """A partial path: cost, tip state, parent link and its lateral profile.
-
-    The profile is stored densely over the contiguous x-hull [lo, hi] as
-    per-column y sums and visit counts; ``means`` is derived lazily and
-    cached, since settled labels are compared against many candidates.
-    Labels grown by a one-label side carry no profile (``sums`` is None).
+    Labels grown by a one-label side carry no profile.  ``seq`` is the push
+    order, set when the label enters the heap.
     """
 
-    __slots__ = ("cost", "state", "parent", "alive", "sums", "counts", "lo", "hi", "seq", "means")
+    __slots__ = ("cost", "state", "parent", "alive", "seq")
 
-    def __init__(self, cost, state, parent, sums, counts, lo, hi, seq):
+    def __init__(self, cost, state, parent, profiled):
         self.cost = cost
         self.state = state
         self.parent = parent
         self.alive = True
-        self.sums = sums
-        self.counts = counts
-        self.lo = lo
-        self.hi = hi
-        self.seq = seq
-        self.means = None
-
-    def mean_profile(self) -> list[float]:
-        if self.means is None:
-            self.means = [s / c for s, c in zip(self.sums, self.counts)]
-        return self.means
+        if profiled:
+            Profile.__init__(self, parent, state.x, state.y)
 
 
 class _LabelSide:
@@ -276,15 +286,15 @@ class _LabelSide:
 
     With ``cap == 1`` a state keeps its cheapest label, as in Dijkstra, and
     grown labels carry no profile.  With more, the labels of a state are
-    mutually dissimilar: a new label must price within ``max_diff`` of the
-    state's cheapest label, and it either joins, replaces the most expensive,
-    or replaces the single similar label it beats.  A state whose ``cap``
-    labels have settled is closed and skipped before pricing: with a
-    consistent potential a later offer costs at least as much as every
-    settled label there, so it would be rejected anyway.  States on the
-    backward side are stored in reverse orientation and advance through the
-    reversed graph.  Heap entries are ``(key, state, seq, label)``, so ties
-    break on the state and then on the push order.
+    mutually dissimilar: a new label must price within the cost bar of the
+    state's cheapest label, and :func:`~corridor.dissimilarity.place`
+    decides whether it joins, replaces a label or is rejected.  A state
+    whose ``cap`` labels have settled is closed and skipped before pricing:
+    with a consistent potential a later offer costs at least as much as
+    every settled label there, so it would be rejected anyway.  States on
+    the backward side are stored in reverse orientation and advance through
+    the reversed graph.  Heap entries are ``(key, state, seq, label)``, so
+    ties break on the state and then on the push order.
     """
 
     def __init__(
@@ -318,16 +328,16 @@ class _LabelSide:
         self.alive_count = 0
         self._seq = 0
         self._offer = self._keep_cheapest if cap == 1 else self._keep_dissimilar
-        ox, oy = origin
         for state in _seed_states(grid, mask, origin):
-            self._push(0.0, state, None, [float(oy)], [1], ox, ox)
+            self._push(_Label(0.0, state, None, cap > 1))
 
-    def _push(self, cost, state, parent, sums=None, counts=None, lo=0, hi=0) -> None:
+    def _push(self, label: _Label) -> None:
         self._seq += 1
-        label = _Label(cost, state, parent, sums, counts, lo, hi, self._seq)
+        label.seq = self._seq
+        state = label.state
         self.labels.setdefault(state, []).append(label)
         self.alive_count += 1
-        key = cost + self.rows[state.y][state.x] if self.rows else cost
+        key = label.cost + self.rows[state.y][state.x] if self.rows else label.cost
         heapq.heappush(self.heap, (key, state, self._seq, label))
 
     def _kill(self, label: _Label) -> None:
@@ -371,95 +381,32 @@ class _LabelSide:
             if cost >= bucket[0].cost:
                 return
             self._kill(bucket[0])
-        self._push(cost, state, parent)
+        self._push(_Label(cost, state, parent, False))
 
-    def _norm_dist(self, state: AugVertex) -> float:
-        d = math.hypot(state.x - self.origin[0], state.y - self.origin[1]) * self.grid.dxy
-        return max(d, self.grid.dxy)
-
-    def _push_extended(self, parent: _Label, state: AugVertex, cost: float) -> None:
-        # Push a label for ``parent`` extended to ``state``, with its profile.
-        hx = state.x
-        y = float(state.y)
-        if hx < parent.lo:
-            sums = [y] + parent.sums
-            counts = [1] + parent.counts
-            lo, hi = hx, parent.hi
-        elif hx > parent.hi:
-            sums = parent.sums + [y]
-            counts = parent.counts + [1]
-            lo, hi = parent.lo, hx
-        else:
-            sums = list(parent.sums)
-            counts = list(parent.counts)
-            i = hx - parent.lo
-            sums[i] += y
-            counts[i] += 1
-            lo, hi = parent.lo, parent.hi
-        self._push(cost, state, parent, sums, counts, lo, hi)
-
-    @staticmethod
-    def _candidate_means(parent: _Label, head: AugVertex) -> tuple[int, list[float]]:
-        hx = head.x
-        y = float(head.y)
-        ps, pc = parent.sums, parent.counts
-        if hx < parent.lo:
-            return hx, [y] + parent.mean_profile()
-        if hx > parent.hi:
-            return parent.lo, parent.mean_profile() + [y]
-        means = parent.mean_profile().copy()
-        i = hx - parent.lo
-        means[i] = (ps[i] + y) / (pc[i] + 1)
-        return parent.lo, means
-
-    def _similar(self, cand_lo: int, cand_means: list[float], other: _Label, stop_cells: float) -> bool:
-        # True when the area between the candidate and the label stays below
-        # the dissimilarity threshold (early exit once it cannot).
-        mb = other.mean_profile()
-        o_lo = other.lo
-        nb1 = len(mb) - 1
-        ma = cand_means
-        na1 = len(ma) - 1
-        lo = min(cand_lo, o_lo)
-        hi = max(cand_lo + na1, o_lo + nb1)
-        area = 0.0
-        for x in range(lo, hi + 1):
-            ia = x - cand_lo
-            va = ma[0 if ia < 0 else (na1 if ia > na1 else ia)]
-            ib = x - o_lo
-            vb = mb[0 if ib < 0 else (nb1 if ib > nb1 else ib)]
-            d = va - vb
-            area += d if d >= 0.0 else -d
-            if area >= stop_cells:
-                return False
-        return True
-
-    def _stop_cells(self, norm: float) -> float:
+    def _stop_cells(self, state: AugVertex) -> float:
+        # min_diff percent of the map width times the distance from the
+        # origin (at least one cell), as an area in grid cells.
         dxy = self.grid.dxy
+        norm = max(math.hypot(state.x - self.origin[0], state.y - self.origin[1]) * dxy, dxy)
         return self.min_diff * self.grid.width_m * norm / (100.0 * dxy * dxy)
 
     def _keep_dissimilar(self, parent: _Label, state: AugVertex, cost: float) -> None:
         bucket = self.labels.get(state)
-        if not bucket:
-            self._push_extended(parent, state, cost)
+        if bucket and cost > cost_bar(min(l.cost for l in bucket), self.max_diff):
             return
-        cheapest = min(l.cost for l in bucket)
-        if cost > _cost_bar(cheapest, self.max_diff):
-            return
-        stop = self._stop_cells(self._norm_dist(state))
-        cand_lo, cand_means = self._candidate_means(parent, state)
-        similar = [l for l in bucket if self._similar(cand_lo, cand_means, l, stop)]
-        if not similar:
-            if len(bucket) < self.cap:
-                self._push_extended(parent, state, cost)
-            else:
-                worst = max(bucket, key=lambda l: (l.cost, l.seq))
-                if cost < worst.cost:
-                    self._kill(worst)
-                    self._push_extended(parent, state, cost)
-        elif len(similar) == 1 and cost < similar[0].cost:
-            self._kill(similar[0])
-            self._push_extended(parent, state, cost)
+        label = _Label(cost, state, parent, True)
+        if bucket:
+            stop = self._stop_cells(state)
+            similar = [i for i, other in enumerate(bucket) if area_cells(label, other, stop) < stop]
+            where = place([l.cost for l in bucket], similar, cost, self.cap)
+            if where == "reject":
+                return
+            if where != "add":
+                self._kill(bucket[where])
+            # Many kept labels are never compared against; dropping the means
+            # until one is keeps them out of memory.
+            label._means = None
+        self._push(label)
 
     def chain(self, label: _Label) -> list[AugVertex]:
         states = []
@@ -498,9 +445,9 @@ class BidiEngine:
 
     A cutoff (settable at construction or any time via :meth:`set_cutoff`)
     stops event production once both frontiers can no longer produce a meet
-    at or below it.  The search also stops, and sets ``incomplete``, when a
-    settle finds ``deadline`` (a :func:`time.monotonic` time) passed or the
-    two sides holding more than ``label_cap`` labels.
+    at or below it.  The search also stops, and sets ``incomplete`` here and
+    on ``stats``, when a settle finds ``deadline`` (a :func:`time.monotonic`
+    time) passed or the two sides holding more than ``label_cap`` labels.
     """
 
     def __init__(
@@ -565,6 +512,8 @@ class BidiEngine:
         while fwd.heap or bwd.heap:
             if time.monotonic() > self._deadline or fwd.alive_count + bwd.alive_count > self._label_cap:
                 self.incomplete = True
+                if stats is not None:
+                    stats.incomplete = True
                 return
             if self._future_total_bound() > self._cutoff_bar():
                 return

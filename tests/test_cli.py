@@ -6,7 +6,7 @@ from corridor import CostModel, load_grid, save_grid, simple_height_mask
 from corridor.cli import main, parse_config, SOLVE_DEFAULTS
 from corridor.pathio import read_path_set
 
-from conftest import canyon_grid, lane_grid
+from conftest import canyon_grid, flat_grid, lane_grid
 
 
 @pytest.fixture()
@@ -82,6 +82,22 @@ class TestSolve:
         cfg.write_text("grid = x\nsrc = 0,0\ndst = 1,1\nbogus = 7\n")
         assert main(["solve", str(cfg)]) == 1
 
+    def test_hybrid_selects_k_paths_by_default(self, tmp_path):
+        # kb is left blank, so it follows k as in MultipathConfig.
+        grid_path = tmp_path / "flat.grid"
+        save_grid(flat_grid(), grid_path)
+        cfg = tmp_path / "solve.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"grid = {grid_path}\n"
+            "src = 0,8\ndst = 41,8\n"
+            "algorithm = hybrid\nk = 2\nmask = none\n"
+            f"out_dir = {out}\n"
+        )
+        assert main(["solve", str(cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solved"] is True and len(summary["costs"]) == 2
+
     def test_config_comments_and_defaults(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\ngrid = g.txt  # trailing\n")
@@ -89,7 +105,7 @@ class TestSolve:
         assert parsed["grid"] == "g.txt"
         assert parsed["k"] == "3" and parsed["min_diff"] == "12"
         assert parsed["r"] == "3" and parsed["hm"] == "1" and parsed["hi"] == "0.5"
-        assert parsed["penalty_width"] == "10" and parsed["ka"] == "2" and parsed["kb"] == "3"
+        assert parsed["penalty_width"] == "10" and parsed["ka"] == "2" and parsed["kb"] == ""
 
 
 class TestTerrainCommands:

@@ -298,6 +298,31 @@ class TestBidirectionalSelection:
         assert r.incomplete and not r.solved
 
 
+class TestLimitsInsideSearches:
+    """se and ipa hand the timeout and the label cap to every search they run."""
+
+    @pytest.fixture(scope="class")
+    def relief(self):
+        from corridor.terrain import synth_terrain
+        g = synth_terrain(2, 40, 20, 8.0)
+        return g, simple_height_mask(g, 1.0, 3)
+
+    @pytest.mark.parametrize("run", [run_se, run_ipa])
+    def test_timeout_cuts_the_first_search(self, relief, model, run):
+        # Unlimited, the first search alone settles 43,551 states.
+        g, mask = relief
+        r = run(g, model, mask, (0, 10), (39, 10), MultipathConfig(timeout=0.0))
+        assert r.incomplete and not r.solved
+        assert r.expansions < 100
+
+    @pytest.mark.parametrize("run", [run_se, run_ipa])
+    def test_label_cap_cuts_the_first_search(self, relief, model, run):
+        g, mask = relief
+        r = run(g, model, mask, (0, 10), (39, 10), MultipathConfig(timeout=60, label_cap=500))
+        assert r.incomplete and not r.solved and r.paths == []
+        assert r.peak_labels <= 500
+
+
 class TestHybrid:
     def test_defaults(self):
         cfg = MultipathConfig()

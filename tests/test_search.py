@@ -102,6 +102,18 @@ class TestDijkstra:
         dijkstra(lanes, lane_model, simple_height_mask(lanes, 1.0, 3), (0, 12), (52, 12), stats=stats)
         assert stats.expansions == 11644
 
+    @pytest.mark.parametrize("search", [dijkstra, astar])
+    def test_limits_cut_the_search_short(self, model, search):
+        grid, mask, src, dst = random_instance(3)
+        for limits in (dict(deadline=0.0), dict(label_cap=50)):
+            stats = SearchStats()
+            assert search(grid, model, mask, src, dst, stats=stats, **limits) is None
+            assert stats.incomplete and stats.expansions <= 50
+        stats = SearchStats()
+        loose = search(grid, model, mask, src, dst, stats=stats, deadline=math.inf, label_cap=10**9)
+        assert loose.vertices == search(grid, model, mask, src, dst).vertices
+        assert not stats.incomplete
+
     def test_settle_order_monotone(self, model):
         grid, mask, src, dst = random_instance(3)
         stats = SearchStats(record_settles=True)
