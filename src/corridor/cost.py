@@ -101,11 +101,13 @@ class EdgeCoster:
     def __call__(self, u: AugVertex, w: AugVertex) -> float:
         a = (u.x, u.y, u.z)
         b = (w.x, w.y, w.z)
-        key = a + b if a <= b else b + a  # pricing is reversal-symmetric
+        # One price per unordered pair, computed from its smaller end, so a
+        # move costs the same to the last bit in either direction.
+        key = a + b if a <= b else b + a
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        c = self._compute(u.x, u.y, u.z, w.x, w.y, w.z)
+        c = self._compute(*key)
         self._cache[key] = c
         return c
 
@@ -178,14 +180,9 @@ class EdgeCoster:
             return entry[1]
         if not build:
             return None
-        grid, model = self.grid, self.model
-        dxy = grid.dxy
-        dest_m = (dst[0] * dxy, dst[1] * dxy)
-        planar = planar_bound(grid, model, mask, dst).tolist()
-        rows = [
-            [max(astar_heuristic(model, (x * dxy, y * dxy), dest_m), h) for x, h in enumerate(row)]
-            for y, row in enumerate(planar)
-        ]
+        planar = planar_bound(self.grid, self.model, mask, dst).tolist()
+        straight = straight_line_rows(self.grid, self.model, dst)
+        rows = [list(map(max, line, row)) for line, row in zip(straight, planar)]
         self._potentials[key] = (mask, rows)
         return rows
 
@@ -244,9 +241,9 @@ def _move_prices(model, g0, gm, g1, length_2d, r0, r1) -> np.ndarray:
 
 
 # Relative slack taken off every relaxed move price.  It covers the last-bit
-# differences between the two pricers (the 3D length, and the summation order
-# of the reversed move), so the planar bound stays below every edge price in
-# floating point and not only in exact arithmetic.
+# differences between the two pricers in the 3D length, so the planar bound
+# stays below every edge price in floating point and not only in exact
+# arithmetic.
 _BOUND_SLACK = 1e-12
 
 
@@ -258,7 +255,8 @@ def planar_bound(
     The relaxed graph keeps the 8-neighbour moves between columns and drops
     the 45-degree turn rule.  Each move costs the cheapest unit move between
     its two columns over all admissible z pairs (the column bands of
-    :func:`graph.z_bounds`, with |dz| <= 1), in either direction.  Every
+    :func:`graph.z_bounds`, with |dz| <= 1), priced like
+    :class:`EdgeCoster` from the move's lexicographically smaller end.  Every
     augmented path maps onto a relaxed path that costs no more, and each
     relaxed move never overprices the augmented edges above it, so the field
     is a consistent A* potential.  Columns that cannot reach ``dst`` read inf.
@@ -281,6 +279,7 @@ def planar_bound(
     r0 = cz * grid.dz
 
     # Moves along the first four headings; the other four are their reversals.
+    # The smaller end of a move is its start, except on heading (-1, 1).
     offsets: list[int] = []
     weights: list[np.ndarray] = []
     for dx, dy in DIR8[:4]:
@@ -289,22 +288,23 @@ def planar_bound(
         tcol = np.where(on, ty * nx + tx, col)
         g1 = ground[tcol]
         if dx and dy:
-            # The two corners off the move, summed in each direction's order.
+            # The two corners off the move, summed in the priced direction's order.
             a, b = ground[cy * nx + np.where(on, tx, cx)], ground[np.where(on, ty, cy) * nx + cx]
-            gm_fwd = 0.25 * (g0 + g1 + a + b)
-            gm_rev = 0.25 * (g1 + g0 + b + a)
+            gm = 0.25 * (g0 + g1 + a + b) if dx > 0 else 0.25 * (g1 + g0 + b + a)
             length_2d = grid.dxy * 1.4142135623730951
         else:
-            gm_fwd = gm_rev = 0.5 * (g0 + g1)
+            gm = 0.5 * (g0 + g1)
             length_2d = grid.dxy
         best = np.full(col.size, np.inf)
         for step in (-1, 0, 1):
             tz = cz + step
             i = np.nonzero(on & (tz >= lo[tcol]) & (tz <= hi[tcol]))[0]
             ga, gb, r1 = g0[i], g1[i], tz[i] * grid.dz
-            fwd = _move_prices(model, ga, gm_fwd[i], gb, length_2d, r0[i], r1)
-            rev = _move_prices(model, gb, gm_rev[i], ga, length_2d, r1, r0[i])
-            best[i] = np.minimum(best[i], np.minimum(fwd, rev))
+            if dx >= 0:
+                price = _move_prices(model, ga, gm[i], gb, length_2d, r0[i], r1)
+            else:
+                price = _move_prices(model, gb, gm[i], ga, length_2d, r1, r0[i])
+            best[i] = np.minimum(best[i], price)
         w = np.minimum.reduceat(best, starts) * (1.0 - _BOUND_SLACK)
         back = np.full(nx * ny, np.inf)
         ok = np.nonzero(np.isfinite(w))[0]
@@ -342,6 +342,15 @@ def astar_heuristic(model: CostModel, p: tuple[float, float], dest: tuple[float,
     least the straight-line distance, and earthwork is non-negative.
     """
     return model.paving_rate * math.hypot(dest[0] - p[0], dest[1] - p[1])
+
+
+def straight_line_rows(grid: TerrainGrid, model: CostModel, dst: tuple[int, int]) -> list[list[float]]:
+    """Rows ``[y][x]`` of :func:`astar_heuristic` toward the column ``dst``,
+    with the same arithmetic inlined: a query tabulates the whole grid."""
+    dxy, rate, hypot = grid.dxy, model.paving_rate, math.hypot
+    gaps_x = [dst[0] * dxy - x * dxy for x in range(grid.nx)]
+    gaps_y = [dst[1] * dxy - y * dxy for y in range(grid.ny)]
+    return [[rate * hypot(gx, gy) for gx in gaps_x] for gy in gaps_y]
 
 
 def ikeda_potentials(

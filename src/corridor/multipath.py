@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cost import CostModel, EdgeCoster
+from .cost import CostModel, EdgeCoster, straight_line_rows
 from .dissimilarity import (
     AreaConfig,
     Profile,
@@ -44,10 +44,10 @@ from .search import (
     Path,
     SearchStats,
     _LabelSide,
+    _settles,
     astar,
     bidi_engine,
     dijkstra,
-    straight_line_potential,
 )
 from .terrain import DIR8, TerrainGrid
 
@@ -115,17 +115,18 @@ def sensitivity(path: Path, grid: TerrainGrid, w: int) -> list[float]:
     scores = []
     for head in path.vertices[1:]:
         z0 = float(z[head.y, head.x])
-        sums = []
-        for side in ((head.h + 2) % 8, (head.h - 2) % 8):
-            dx, dy = DIR8[side]
-            s = 0.0
-            for d in range(1, w + 1):
-                x, y = head.x + d * dx, head.y + d * dy
-                if 0 <= x < grid.nx and 0 <= y < grid.ny:
-                    s += abs(float(z[y, x]) - z0)
-            sums.append(s)
+        sums = [sum(abs(float(z[y, x]) - z0) for x, y in cells) for cells in _lateral_cells(grid, head, w)]
         scores.append(sums[0] * sums[1])
     return scores
+
+
+def _lateral_cells(grid: TerrainGrid, head: AugVertex, w: int) -> list[list[tuple[int, int]]]:
+    """The on-map cells 1..w steps to the left and to the right of ``head``'s heading."""
+    sides = []
+    for dx, dy in (DIR8[(head.h + 2) % 8], DIR8[(head.h - 2) % 8]):
+        cells = [(head.x + d * dx, head.y + d * dy) for d in range(1, w + 1)]
+        sides.append([(x, y) for x, y in cells if 0 <= x < grid.nx and 0 <= y < grid.ny])
+    return sides
 
 
 def _area_config(grid: TerrainGrid, src, dst, min_diff: float) -> AreaConfig:
@@ -188,14 +189,8 @@ def _finalize(
 
 
 def _wall_positions(grid: TerrainGrid, head: AugVertex, w: int) -> set[tuple[int, int]]:
-    cells = {(head.x, head.y)}
-    for side in ((head.h + 2) % 8, (head.h - 2) % 8):
-        dx, dy = DIR8[side]
-        for d in range(1, w + 1):
-            x, y = head.x + d * dx, head.y + d * dy
-            if 0 <= x < grid.nx and 0 <= y < grid.ny:
-                cells.add((x, y))
-    return cells
+    left, right = _lateral_cells(grid, head, w)
+    return {(head.x, head.y), *left, *right}
 
 
 def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
@@ -217,11 +212,6 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
     def edge_filter(u: AugVertex, v: AugVertex) -> bool:
         return (v.x, v.y) not in blocked
 
-    def rebuild_blocked():
-        blocked.clear()
-        for cells in walls:
-            blocked.update(cells)
-
     opt = searcher(grid, model, mask, src, dst, **common)
     iterations = 1
     if opt is None:
@@ -229,38 +219,33 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
     paths = [opt]
     bar = cost_bar(opt.total_cost, cfg.max_diff)
 
-    current = opt
-    scores = sensitivity(current, grid, w)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    next_idx = 0
-
-    while len(paths) < cfg.k and next_idx < len(order):
-        head = current.vertices[order[next_idx] + 1]
-        next_idx += 1
-        wall = _wall_positions(grid, head, w)
+    cuts = None  # edges of the last accepted path, most sensitive first
+    while len(paths) < cfg.k:
+        if cuts is None:
+            scores = sensitivity(paths[-1], grid, w)
+            cuts = iter(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
+        edge = next(cuts, None)
+        if edge is None:
+            break
+        wall = _wall_positions(grid, paths[-1].vertices[edge + 1], w)
         walls.append(wall)
         blocked.update(wall)
         cand = searcher(grid, model, mask, src, dst, edge_filter=edge_filter, **common)
         iterations += 1
         if stats.incomplete:
             break
-        if cand is None:
-            walls.pop()
-            rebuild_blocked()
+        too_costly = cand is not None and cand.total_cost > bar
+        if cand is not None and not too_costly and all(area_diff(cand, p, acfg) >= cfg.min_diff for p in paths):
+            paths.append(cand)
+            cuts = None
             continue
-        if cand.total_cost > bar:
-            walls.pop()
-            rebuild_blocked()
+        # The cut failed: restore the wall.  A candidate over the bar ends
+        # the search, since later candidates only get costlier.
+        walls.pop()
+        blocked.clear()
+        blocked.update(*walls)
+        if too_costly:
             break
-        if any(area_diff(cand, p, acfg) < cfg.min_diff for p in paths):
-            walls.pop()
-            rebuild_blocked()
-            continue
-        paths.append(cand)
-        current = cand
-        scores = sensitivity(current, grid, w)
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-        next_idx = 0
     return _finalize("se", paths, opt.total_cost, cfg, acfg, stats, iterations, coster)
 
 
@@ -391,33 +376,20 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
     destination or every remaining label prices out.  With ``use_astar`` the
     sweep is keyed by the straight-line bound to the destination."""
     deadline = time.monotonic() + cfg.timeout
-
     stats = SearchStats()
     coster = EdgeCoster(grid, model)
     acfg = _area_config(grid, src, dst, cfg.min_diff)
     kappa = cfg.kappa if cfg.kappa is not None else cfg.k
-    potential = straight_line_potential(grid, model, dst) if cfg.use_astar else None
-    side = _LabelSide(grid, mask, coster, src, True, kappa, cfg.min_diff, cfg.max_diff, potential)
+    rows = straight_line_rows(grid, model, dst) if cfg.use_astar else None
+    side = _LabelSide(grid, mask, coster, src, True, kappa, cfg.min_diff, cfg.max_diff, rows)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)
     dst_paths: list[Path] = []
     opt_cost: Optional[float] = None
-    iterations = 0
 
-    while side.heap:
-        if time.monotonic() > deadline or side.alive_count > cfg.label_cap:
-            stats.incomplete = True
-            break
-        label = side.pop_settle()
-        if label is None:
-            break
-        iterations += 1
-        stats.expansions += 1
-        stats.note_labels(side.alive_count)
-        s = label.state
+    for _, key, s, label in _settles(side, stats, deadline, cfg.label_cap):
         # Keys are popped in order, so once one passes the bar every later
         # label reaches the destination too expensive.
-        key = label.cost + potential(s.x, s.y) if potential else label.cost
         if opt_cost is not None and key > cost_bar(opt_cost, cfg.max_diff):
             break
         if s.x == dst_x and s.y == dst_y and s.z == dst_z:
@@ -428,9 +400,8 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
             apply_decision(cand, dst_paths, decision)
             if len(dst_paths) >= cfg.k:
                 break
-        side.relax(label)
-
-    return _finalize("kspa", dst_paths, opt_cost, cfg, acfg, stats, iterations, coster)
+    # Every settle is one iteration.
+    return _finalize("kspa", dst_paths, opt_cost, cfg, acfg, stats, stats.expansions, coster)
 
 
 # ---------------------------------------------------------------------------

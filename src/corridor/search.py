@@ -1,11 +1,12 @@
 """Shortest-path engines over the implicit oriented 3D grid graph.
 
-Two label-setting loops serve every search.  :func:`dijkstra` and
-:func:`astar` run a single-source loop that keeps one label per state in
-dicts.  The :class:`BidiEngine` grows two :class:`_LabelSide` sweeps towards
-each other and exposes settled meeting states as a stream of events; a side
-keeps one label per state (``bds``) or several mutually dissimilar ones
-(``hybrid``), and one side on its own is the ``kspa`` sweep.  All of them
+Two kinds of sweep serve every search, driven by one settle loop that holds
+the deadline, the label cap and the counters.  A :class:`_Sweep` keeps one
+label per state in dicts: :func:`dijkstra` and :func:`astar` run one, and
+the :class:`BidiEngine` grows two towards each other (``bds``) and exposes
+settled meeting states as a stream of events.  A :class:`_LabelSide` keeps
+several mutually dissimilar labels per state: the engine grows two of them
+for ``hybrid``, and one on its own is the ``kspa`` sweep.  All of them
 
   * seed the source position with all 24 (h, v) orientations at cost 0 and
     accept any orientation at the destination,
@@ -25,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .cost import CostModel, EdgeCoster, astar_heuristic, ikeda_potentials
+from .cost import CostModel, EdgeCoster, ikeda_potentials, straight_line_rows
 from .dissimilarity import Profile, area_cells, cost_bar, place
 from .graph import (
     AugVertex,
@@ -51,10 +52,6 @@ class SearchStats:
     settle_keys: list = field(default_factory=list)
     record_settles: bool = False
     incomplete: bool = False
-
-    def note_labels(self, count: int) -> None:
-        if count > self.peak_labels:
-            self.peak_labels = count
 
 
 @dataclass
@@ -103,21 +100,137 @@ def _seed_states(grid, mask, xy) -> list[AugVertex]:
     return [AugVertex(x, y, z, h, v) for h in range(8) for v in (-1, 0, 1)]
 
 
-def _extract(parent, end_state, coster) -> Path:
-    chain = [end_state]
-    u = end_state
-    while u in parent:
-        u = parent[u]
-        chain.append(u)
-    chain.reverse()
-    return Path(vertices=chain, total_cost=0.0).price(coster)
+class _Sweep:
+    """One direction of a one-label sweep: each state keeps its cheapest cost
+    in ``dist`` and its predecessor in ``parent``, as in Dijkstra.
+
+    ``rows[y][x]``, if given, is a consistent potential added to each heap
+    key, and :meth:`rekey` swaps in one that is nowhere smaller.  A backward
+    sweep stores states in reverse orientation and advances through the
+    reversed graph; ``edge_filter`` and ``penalty`` see each move ``(u, w)``
+    in the sweep's own direction, and the price of a unit move does not
+    depend on its direction.  Heap entries are ``(key, state)``, and a
+    popped entry whose state has settled is skipped.
+    """
+
+    def __init__(
+        self,
+        grid: TerrainGrid,
+        mask: Optional[HeightMask],
+        coster: EdgeCoster,
+        origin: tuple[int, int],
+        forward: bool = True,
+        rows: Optional[list[list[float]]] = None,
+        edge_filter: Optional[EdgeFilter] = None,
+        penalty: Optional[EdgePenalty] = None,
+    ):
+        self.grid = grid
+        self.mask = mask
+        self.coster = coster
+        self.forward = forward
+        self.rows = rows
+        self.edge_filter = edge_filter
+        self.penalty = penalty
+        seeds = _seed_states(grid, mask, origin)
+        self.dist: dict[AugVertex, float] = dict.fromkeys(seeds, 0.0)
+        self.parent: dict[AugVertex, AugVertex] = {}
+        self.settled: set[AugVertex] = set()
+        key = rows[origin[1]][origin[0]] if rows is not None else 0.0
+        self.heap = sorted((key, s) for s in seeds)
+
+    def pick(self) -> Optional[_Sweep]:
+        return self if self.heap else None
+
+    def held(self) -> int:
+        return len(self.dist)
+
+    def pop_settle(self) -> Optional[tuple[float, AugVertex, AugVertex]]:
+        heap, settled = self.heap, self.settled
+        while heap:
+            key, u = heapq.heappop(heap)
+            if u not in settled:
+                settled.add(u)
+                return key, u, u
+        return None
+
+    def relax(self, u: AugVertex) -> None:
+        dist, parent, settled, rows = self.dist, self.parent, self.settled, self.rows
+        coster, edge_filter, penalty, heap = self.coster, self.edge_filter, self.penalty, self.heap
+        du = dist[u]
+        for w in (successors3do if self.forward else rev_successors3do)(self.grid, u, self.mask):
+            if w in settled:
+                continue
+            if edge_filter is not None and not edge_filter(u, w):
+                continue
+            c = coster(u, w)
+            if penalty is not None:
+                p = penalty(u, w)
+                if p < 0.0:
+                    raise ValueError("negative edge penalty")
+                c += p
+            nd = du + c
+            old = dist.get(w)
+            if old is None or nd < old:
+                dist[w] = nd
+                parent[w] = u
+                heapq.heappush(heap, (nd + rows[w.y][w.x] if rows is not None else nd, w))
+
+    def rekey(self, rows: list[list[float]]) -> None:
+        """Key the open states by the potential ``rows``."""
+        dist, settled = self.dist, self.settled
+        self.rows = rows
+        self.heap = [(dist[w] + rows[w.y][w.x], w) for w in {w for _, w in self.heap if w not in settled}]
+        heapq.heapify(self.heap)
+
+    def cost(self, u: AugVertex) -> float:
+        return self.dist[u]
+
+    def mates(self, state: AugVertex) -> tuple:
+        """The settled items at ``state``."""
+        return (state,) if state in self.settled else ()
+
+    def chain(self, u: AugVertex) -> list[AugVertex]:
+        """The states from the origin to ``u``."""
+        states = [u]
+        parent = self.parent
+        while u in parent:
+            u = parent[u]
+            states.append(u)
+        states.reverse()
+        return states
 
 
-def straight_line_potential(grid: TerrainGrid, model: CostModel, dst: tuple[int, int]) -> Callable[[int, int], float]:
-    """The straight-line paving bound to ``dst`` as a function of a grid column."""
-    dxy = grid.dxy
-    dst_m = (dst[0] * dxy, dst[1] * dxy)
-    return lambda x, y: astar_heuristic(model, (x * dxy, y * dxy), dst_m)
+def _settles(front, stats: SearchStats, deadline: Optional[float], label_cap: Optional[int]):
+    """Settle labels one at a time, yielding ``(side, key, state, item)``;
+    the item is relaxed when the consumer asks for the next one.
+
+    ``front`` is one side, or the engine over two: ``front.pick()`` names
+    the side to grow, or None to stop, and ``front.held()`` counts the
+    labels held.  A settle that finds ``deadline`` (a :func:`time.monotonic`
+    time) passed, or more than ``label_cap`` labels held, ends the sweep and
+    sets ``stats.incomplete``.
+    """
+    deadline = math.inf if deadline is None else deadline
+    label_cap = math.inf if label_cap is None else label_cap
+    while True:
+        side = front.pick()
+        if side is None:
+            return
+        held = front.held()
+        if time.monotonic() > deadline or held > label_cap:
+            stats.incomplete = True
+            return
+        popped = side.pop_settle()
+        if popped is None:
+            continue
+        key, state, item = popped
+        stats.expansions += 1
+        if held > stats.peak_labels:
+            stats.peak_labels = held
+        if stats.record_settles:
+            stats.settle_keys.append(key)
+        yield side, key, state, item
+        side.relax(item)
 
 
 def _single_source(
@@ -134,73 +247,25 @@ def _single_source(
     deadline: Optional[float],
     label_cap: Optional[int],
 ) -> Optional[Path]:
-    if coster is None:
-        coster = EdgeCoster(grid, model)
+    coster = coster if coster is not None else EdgeCoster(grid, model)
+    rows = coster.astar_potential(mask, dst, build=False) if guided else None
+    switch_at = -1
+    if guided and rows is None:
+        # Start on the straight-line bound; the planar field pays for
+        # itself only once the query has done about as much work.
+        rows = straight_line_rows(grid, model, dst)
+        switch_at = grid.nx * grid.ny
+    sweep = _Sweep(grid, mask, coster, src, rows=rows, edge_filter=edge_filter, penalty=penalty)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)
-    potential: Optional[Callable[[int, int], float]] = None
-    switch_at = -1
-    if guided:
-        rows = coster.astar_potential(mask, dst, build=False)
-        if rows is not None:
-            potential = lambda x, y: rows[y][x]
-        else:
-            # Start on the straight-line bound; the planar field pays for
-            # itself only once the query has done about as much work.
-            potential = straight_line_potential(grid, model, dst)
-            switch_at = grid.nx * grid.ny
-    dist: dict[AugVertex, float] = {}
-    parent: dict[AugVertex, AugVertex] = {}
-    settled: set[AugVertex] = set()
-    heap: list[tuple[float, AugVertex]] = []
-    pot0 = potential(src[0], src[1]) if potential else 0.0
-    for s in _seed_states(grid, mask, src):
-        dist[s] = 0.0
-        heapq.heappush(heap, (pot0, s))
-    deadline = math.inf if deadline is None else deadline
-    label_cap = math.inf if label_cap is None else label_cap
-    while heap:
-        key, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        if time.monotonic() > deadline or len(dist) > label_cap:
-            if stats is not None:
-                stats.incomplete = True
-            return None
-        settled.add(u)
-        if stats is not None:
-            stats.expansions += 1
-            stats.note_labels(len(dist))
-            if stats.record_settles:
-                stats.settle_keys.append(key)
+    stats = stats if stats is not None else SearchStats()
+    for _, _, u, _ in _settles(sweep, stats, deadline, label_cap):
         if u.x == dst_x and u.y == dst_y and u.z == dst_z:
-            return _extract(parent, u, coster)
-        if len(settled) == switch_at:
-            # Switch to the planar field and re-key the open states.  The new
-            # potential is at least the old one, so settle keys stay monotone.
-            rows = coster.astar_potential(mask, dst)
-            potential = lambda x, y: rows[y][x]
-            heap = [(dist[w] + rows[w.y][w.x], w) for w in {w for _, w in heap if w not in settled}]
-            heapq.heapify(heap)
-        du = dist[u]
-        for w in successors3do(grid, u, mask):
-            if w in settled:
-                continue
-            if edge_filter is not None and not edge_filter(u, w):
-                continue
-            c = coster(u, w)
-            if penalty is not None:
-                p = penalty(u, w)
-                if p < 0.0:
-                    raise ValueError("negative edge penalty")
-                c += p
-            nd = du + c
-            old = dist.get(w)
-            if old is None or nd < old:
-                dist[w] = nd
-                parent[w] = u
-                wkey = nd + (potential(w.x, w.y) if potential else 0.0)
-                heapq.heappush(heap, (wkey, w))
+            return Path(vertices=sweep.chain(u), total_cost=0.0).price(coster)
+        if len(sweep.settled) == switch_at:
+            # The planar field is at least the straight-line bound, so
+            # settle keys stay monotone across the switch.
+            sweep.rekey(coster.astar_potential(mask, dst))
     return None
 
 
@@ -263,38 +328,31 @@ def astar(
 
 
 class _Label(Profile):
-    """A partial path: cost, tip state, parent link and, on a multi-label
-    side, the lateral :class:`~corridor.dissimilarity.Profile` of its states.
-
-    Labels grown by a one-label side carry no profile.  ``seq`` is the push
-    order, set when the label enters the heap.
-    """
+    """A partial path of a multi-label side: cost, tip state, parent link and
+    the lateral :class:`~corridor.dissimilarity.Profile` of its states.
+    ``seq`` is the push order, set when the label enters the heap."""
 
     __slots__ = ("cost", "state", "parent", "alive", "seq")
 
-    def __init__(self, cost, state, parent, profiled):
+    def __init__(self, cost, state, parent):
         self.cost = cost
         self.state = state
         self.parent = parent
         self.alive = True
-        if profiled:
-            Profile.__init__(self, parent, state.x, state.y)
+        Profile.__init__(self, parent, state.x, state.y)
 
 
 class _LabelSide:
-    """One direction of a label-setting sweep, up to ``cap`` labels per state.
+    """One direction of a multi-label sweep, up to ``cap`` mutually
+    dissimilar labels per state, with the settle interface of :class:`_Sweep`.
 
-    With ``cap == 1`` a state keeps its cheapest label, as in Dijkstra, and
-    grown labels carry no profile.  With more, the labels of a state are
-    mutually dissimilar: a new label must price within the cost bar of the
-    state's cheapest label, and :func:`~corridor.dissimilarity.place`
-    decides whether it joins, replaces a label or is rejected.  A state
-    whose ``cap`` labels have settled is closed and skipped before pricing:
-    with a consistent potential a later offer costs at least as much as
-    every settled label there, so it would be rejected anyway.  States on
-    the backward side are stored in reverse orientation and advance through
-    the reversed graph.  Heap entries are ``(key, state, seq, label)``, so
-    ties break on the state and then on the push order.
+    A new label must price within the cost bar of the state's cheapest
+    label, and :func:`~corridor.dissimilarity.place` decides whether it
+    joins, replaces a label or is rejected.  A state whose ``cap`` labels
+    have settled is closed and skipped before pricing: with a consistent
+    potential a later offer costs at least as much as every settled label
+    there, so it would be rejected anyway.  Heap entries are ``(key, state,
+    seq, label)``, so ties break on the state and then on the push order.
     """
 
     def __init__(
@@ -307,7 +365,7 @@ class _LabelSide:
         cap: int,
         min_diff: float,
         max_diff: float,
-        potential: Optional[Callable[[int, int], float]] = None,
+        rows: Optional[list[list[float]]] = None,
     ):
         self.grid = grid
         self.mask = mask
@@ -316,72 +374,54 @@ class _LabelSide:
         self.cap = cap
         self.min_diff = min_diff
         self.max_diff = max_diff
-        # The potential is looked up once per push, so it is tabulated per column.
-        self.rows = None
-        if potential is not None:
-            self.rows = [[potential(x, y) for x in range(grid.nx)] for y in range(grid.ny)]
+        self.rows = rows
         self.origin = origin
         self.labels: dict[AugVertex, list[_Label]] = {}
         self.settled: dict[AugVertex, list[_Label]] = {}
         self.closed: set[AugVertex] = set()
         self.heap: list = []
-        self.alive_count = 0
+        self._held = 0
         self._seq = 0
-        self._offer = self._keep_cheapest if cap == 1 else self._keep_dissimilar
         for state in _seed_states(grid, mask, origin):
-            self._push(_Label(0.0, state, None, cap > 1))
+            self._push(_Label(0.0, state, None))
 
     def _push(self, label: _Label) -> None:
         self._seq += 1
         label.seq = self._seq
         state = label.state
         self.labels.setdefault(state, []).append(label)
-        self.alive_count += 1
-        key = label.cost + self.rows[state.y][state.x] if self.rows else label.cost
+        self._held += 1
+        key = label.cost + self.rows[state.y][state.x] if self.rows is not None else label.cost
         heapq.heappush(self.heap, (key, state, self._seq, label))
 
     def _kill(self, label: _Label) -> None:
         label.alive = False
         self.labels[label.state].remove(label)
-        self.alive_count -= 1
+        self._held -= 1
 
-    def top_key(self) -> Optional[float]:
-        return self.heap[0][0] if self.heap else None
+    def pick(self) -> Optional[_LabelSide]:
+        return self if self.heap else None
 
-    def pop_settle(self) -> Optional[_Label]:
+    def held(self) -> int:
+        return self._held
+
+    def pop_settle(self) -> Optional[tuple[float, AugVertex, _Label]]:
         heap = self.heap
         while heap:
-            label = heapq.heappop(heap)[3]
+            key, state, _, label = heapq.heappop(heap)
             if label.alive:
-                done = self.settled.setdefault(label.state, [])
+                done = self.settled.setdefault(state, [])
                 done.append(label)
                 if len(done) == self.cap:
-                    self.closed.add(label.state)
-                return label
+                    self.closed.add(state)
+                return key, state, label
         return None
 
     def relax(self, label: _Label) -> None:
-        u = label.state
-        cost = label.cost
-        closed = self.closed
-        coster = self.coster
-        offer = self._offer
-        if self.forward:
-            for w in successors3do(self.grid, u, self.mask):
-                if w not in closed:
-                    offer(label, w, cost + coster(u, w))
-        else:
-            for w in rev_successors3do(self.grid, u, self.mask):
-                if w not in closed:
-                    offer(label, w, cost + coster(w, u))
-
-    def _keep_cheapest(self, parent: _Label, state: AugVertex, cost: float) -> None:
-        bucket = self.labels.get(state)
-        if bucket:
-            if cost >= bucket[0].cost:
-                return
-            self._kill(bucket[0])
-        self._push(_Label(cost, state, parent, False))
+        u, cost, closed, coster = label.state, label.cost, self.closed, self.coster
+        for w in (successors3do if self.forward else rev_successors3do)(self.grid, u, self.mask):
+            if w not in closed:
+                self._keep_dissimilar(label, w, cost + coster(u, w))
 
     def _stop_cells(self, state: AugVertex) -> float:
         # min_diff percent of the map width times the distance from the
@@ -394,7 +434,7 @@ class _LabelSide:
         bucket = self.labels.get(state)
         if bucket and cost > cost_bar(min(l.cost for l in bucket), self.max_diff):
             return
-        label = _Label(cost, state, parent, True)
+        label = _Label(cost, state, parent)
         if bucket:
             stop = self._stop_cells(state)
             similar = [i for i, other in enumerate(bucket) if area_cells(label, other, stop) < stop]
@@ -408,7 +448,15 @@ class _LabelSide:
             label._means = None
         self._push(label)
 
+    def cost(self, label: _Label) -> float:
+        return label.cost
+
+    def mates(self, state: AugVertex) -> list[_Label]:
+        """The settled labels at ``state``."""
+        return self.settled.get(state, [])
+
     def chain(self, label: _Label) -> list[AugVertex]:
+        """The states from the origin to ``label``'s tip."""
         states = []
         l: Optional[_Label] = label
         while l is not None:
@@ -420,11 +468,8 @@ class _LabelSide:
 
 @dataclass(frozen=True)
 class MeetEvent:
-    """A state settled from both directions, with the through-path it induces."""
+    """A through-path joining a state settled from both directions."""
 
-    state: AugVertex
-    cost_from_src: float
-    cost_to_dst: float
     total: float
     path: Path
 
@@ -432,22 +477,22 @@ class MeetEvent:
 class BidiEngine:
     """Bidirectional search emitting every settled meeting pair as an event.
 
-    Each direction is a :class:`_LabelSide` keeping up to ``labels`` labels
-    per state; ``min_diff`` and ``max_diff`` set its per-state rule when
-    ``labels`` exceeds 1.  With ``use_ikeda`` the sides are keyed by the
-    average-difference potentials of the straight-line bounds.  The backward
-    search runs on the reversed graph with states stored in reverse
-    orientation (``flip_state``); a forward label with orientation (h, v)
-    therefore pairs with the backward labels at (h+4 mod 8, -v) on the same
-    position — other orientation pairs are distinct meets.  Each settle
-    yields one event per settled label at its mate state; the event's path
-    concatenates the two labels' chains.
+    Each direction is a :class:`_Sweep` when ``labels`` is 1, else a
+    :class:`_LabelSide` keeping up to ``labels`` labels per state, whose
+    per-state rule ``min_diff`` and ``max_diff`` set.  With ``use_ikeda``
+    the sides are keyed by the average-difference potentials of the
+    straight-line bounds.  The backward search runs on the reversed graph
+    with states stored in reverse orientation (``flip_state``); a forward
+    label with orientation (h, v) therefore pairs with the backward labels
+    at (h+4 mod 8, -v) on the same position — other orientation pairs are
+    distinct meets.  Each settle yields one event per settled label at its
+    mate state; the event's path concatenates the two labels' chains.
 
     A cutoff (settable at construction or any time via :meth:`set_cutoff`)
     stops event production once both frontiers can no longer produce a meet
-    at or below it.  The search also stops, and sets ``incomplete`` here and
-    on ``stats``, when a settle finds ``deadline`` (a :func:`time.monotonic`
-    time) passed or the two sides holding more than ``label_cap`` labels.
+    at or below it.  The search also stops, and sets ``stats.incomplete``,
+    when a settle finds ``deadline`` (a :func:`time.monotonic` time) passed
+    or the two sides holding more than ``label_cap`` labels.
     """
 
     def __init__(
@@ -467,102 +512,70 @@ class BidiEngine:
         deadline: Optional[float] = None,
         label_cap: Optional[int] = None,
     ):
-        self.stats = stats
+        self.stats = stats if stats is not None else SearchStats()
         coster = coster if coster is not None else EdgeCoster(grid, model)
         self._cutoff = math.inf if cutoff is None else cutoff
-        self._deadline = math.inf if deadline is None else deadline
-        self._label_cap = math.inf if label_cap is None else label_cap
+        self._deadline = deadline
+        self._label_cap = label_cap
+        rows_f = rows_b = None
+        self._shift_f = self._shift_b = 0.0
         if use_ikeda:
-            hf = straight_line_potential(grid, model, dst)
-            hb = straight_line_potential(grid, model, src)
-            pf, pb = ikeda_potentials(hf, hb)
+            hf, hb = straight_line_rows(grid, model, dst), straight_line_rows(grid, model, src)
+            rows_f, rows_b = (
+                [[p(x, y) for x in range(grid.nx)] for y in range(grid.ny)]
+                for p in ikeda_potentials(lambda x, y: hf[y][x], lambda x, y: hb[y][x])
+            )
             # Keys carry potentials; a frontier key less the opposite
             # endpoint's term bounds the totals of the meets it can make.
-            self._shift_f, self._shift_b = pf(*dst), pb(*src)
+            self._shift_f, self._shift_b = rows_f[dst[1]][dst[0]], rows_b[src[1]][src[0]]
+        if labels == 1:
+            self._fwd = _Sweep(grid, mask, coster, src, True, rows_f)
+            self._bwd = _Sweep(grid, mask, coster, dst, False, rows_b)
         else:
-            pf = pb = None
-            self._shift_f = self._shift_b = 0.0
-        self._fwd = _LabelSide(grid, mask, coster, src, True, labels, min_diff, max_diff, pf)
-        self._bwd = _LabelSide(grid, mask, coster, dst, False, labels, min_diff, max_diff, pb)
-        self.best_meet: Optional[float] = None
-        self.incomplete = False
+            self._fwd = _LabelSide(grid, mask, coster, src, True, labels, min_diff, max_diff, rows_f)
+            self._bwd = _LabelSide(grid, mask, coster, dst, False, labels, min_diff, max_diff, rows_b)
 
     def set_cutoff(self, cutoff: float) -> None:
         self._cutoff = cutoff
 
     def _future_total_bound(self) -> float:
         """No event produced after this point can have a smaller total."""
-        bounds = []
-        top_f = self._fwd.top_key()
-        if top_f is not None:
-            bounds.append(top_f - self._shift_f)
-        top_b = self._bwd.top_key()
-        if top_b is not None:
-            bounds.append(top_b - self._shift_b)
-        return min(bounds) if bounds else math.inf
+        fronts = ((self._fwd, self._shift_f), (self._bwd, self._shift_b))
+        return min((side.heap[0][0] - shift for side, shift in fronts if side.heap), default=math.inf)
 
     def _cutoff_bar(self) -> float:
         return self._cutoff * (1.0 + 1e-9) + 1e-9
+
+    def pick(self):
+        """The side to grow, the one with the smaller heap and forward on a
+        tie; None once both have drained or no future meet can price within
+        the cutoff."""
+        fwd, bwd = self._fwd, self._bwd
+        if not (fwd.heap or bwd.heap) or self._future_total_bound() > self._cutoff_bar():
+            return None
+        return fwd if not bwd.heap or 0 < len(fwd.heap) <= len(bwd.heap) else bwd
+
+    def held(self) -> int:
+        return self._fwd.held() + self._bwd.held()
 
     def events(self) -> Iterator[MeetEvent]:
         """Generate meet events until both frontiers pass the cutoff or drain,
         or a limit stops the search."""
         fwd, bwd = self._fwd, self._bwd
-        stats = self.stats
-        while fwd.heap or bwd.heap:
-            if time.monotonic() > self._deadline or fwd.alive_count + bwd.alive_count > self._label_cap:
-                self.incomplete = True
-                if stats is not None:
-                    stats.incomplete = True
-                return
-            if self._future_total_bound() > self._cutoff_bar():
-                return
-            # Grow the side with the smaller heap, forward on a tie.
-            forward = not bwd.heap or 0 < len(fwd.heap) <= len(bwd.heap)
-            side, other = (fwd, bwd) if forward else (bwd, fwd)
-            label = side.pop_settle()
-            if label is None:
-                continue
-            if stats is not None:
-                stats.expansions += 1
-                stats.note_labels(fwd.alive_count + bwd.alive_count)
-            side.relax(label)
-            for mate in other.settled.get(flip_state(label.state), ()):
-                f, b = (label, mate) if forward else (mate, label)
-                total = f.cost + b.cost
-                if self.best_meet is None or total < self.best_meet:
-                    self.best_meet = total
+        for side, _, state, item in _settles(self, self.stats, self._deadline, self._label_cap):
+            forward = side is fwd
+            for mate in (bwd if forward else fwd).mates(flip_state(state)):
+                f, b = (item, mate) if forward else (mate, item)
+                total = fwd.cost(f) + bwd.cost(b)
                 if total <= self._cutoff_bar():
                     yield self._event(f, b, total)
 
-    def _event(self, f: _Label, b: _Label, total: float) -> MeetEvent:
-        vertices = self._fwd.chain(f)
-        u = b.parent
-        while u is not None:
-            vertices.append(flip_state(u.state))
-            u = u.parent
-        path = Path(vertices=vertices, total_cost=total, edge_costs=None)
-        return MeetEvent(state=f.state, cost_from_src=f.cost, cost_to_dst=b.cost, total=total, path=path)
+    def _event(self, f, b, total: float) -> MeetEvent:
+        back = self._bwd.chain(b)
+        back.pop()
+        vertices = self._fwd.chain(f) + [flip_state(s) for s in reversed(back)]
+        return MeetEvent(total=total, path=Path(vertices=vertices, total_cost=total))
 
 
-def bidi_engine(
-    grid: TerrainGrid,
-    model: CostModel,
-    mask: Optional[HeightMask],
-    src: tuple[int, int],
-    dst: tuple[int, int],
-    use_ikeda: bool = False,
-    cutoff: Optional[float] = None,
-    stats: Optional[SearchStats] = None,
-    coster: Optional[EdgeCoster] = None,
-    labels: int = 1,
-    min_diff: float = 0.0,
-    max_diff: float = 0.0,
-    deadline: Optional[float] = None,
-    label_cap: Optional[int] = None,
-) -> BidiEngine:
-    """Construct a :class:`BidiEngine`; iterate its ``events()`` for meets."""
-    return BidiEngine(
-        grid, model, mask, src, dst, use_ikeda=use_ikeda, cutoff=cutoff, stats=stats, coster=coster,
-        labels=labels, min_diff=min_diff, max_diff=max_diff, deadline=deadline, label_cap=label_cap,
-    )
+# The engine's constructor is the public entry point; iterate ``events()``.
+bidi_engine = BidiEngine

@@ -10,33 +10,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from corridor import CostModel, expanding_height_mask, simple_height_mask
-from corridor.cost import EdgeCoster, astar_heuristic, planar_bound, unit_move_prices
-from corridor.graph import z_bounds
+from corridor import expanding_height_mask, simple_height_mask
+from corridor.cost import EdgeCoster, astar_heuristic, planar_bound, straight_line_rows, unit_move_prices
+from corridor.graph import AugVertex, z_bounds
 from corridor.search import SearchStats, astar, dijkstra
 from corridor.terrain import DIR8, synth_terrain
 
-MODELS = (CostModel(), CostModel(paving_rate=0.5, cut_rate=3.0, fill_rate=1.5, road_width=6.0))
-
-
-@st.composite
-def instances(draw):
-    nx = draw(st.integers(3, 9))
-    ny = draw(st.integers(3, 7))
-    grid = synth_terrain(draw(st.integers(0, 10_000)), nx, ny, draw(st.sampled_from((0.0, 1.5, 4.0, 9.0))))
-    model = draw(st.sampled_from(MODELS))
-    src = (draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)))
-    dst = (draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)))
-    kind = draw(st.sampled_from(("none", "hr", "ehr")))
-    if kind == "hr":
-        mask = simple_height_mask(grid, 1.0, draw(st.integers(0, 2)))
-    elif kind == "ehr":
-        mask = expanding_height_mask(grid, 0.5, model.max_grade, src=src, dst=dst)
-    else:
-        mask = None
-    return grid, model, mask, src, dst
+from strategies import small_instances
 
 
 def unit_moves(grid, mask):
@@ -56,7 +37,7 @@ def unit_moves(grid, mask):
 
 
 @settings(max_examples=60, deadline=None)
-@given(instances())
+@given(small_instances())
 def test_consistent_on_every_edge(inst):
     grid, model, mask, _, dst = inst
     h = EdgeCoster(grid, model).astar_potential(mask, dst)
@@ -68,7 +49,20 @@ def test_consistent_on_every_edge(inst):
 
 
 @settings(max_examples=60, deadline=None)
-@given(instances())
+@given(small_instances())
+def test_unit_moves_priced_the_same_both_ways(inst):
+    grid, model, mask, _, _ = inst
+    # One coster prices each unordered pair from one end, the other from the
+    # other end, so neither memo answers for the opposite direction.
+    pairs = {min(m[:3], m[3:]) + max(m[:3], m[3:]) for m in unit_moves(grid, mask)}
+    ahead, back = EdgeCoster(grid, model), EdgeCoster(grid, model)
+    for x, y, z, x1, y1, z1 in pairs:
+        u, w = AugVertex(x, y, z, 0, 0), AugVertex(x1, y1, z1, 0, 0)
+        assert ahead(u, w) == back(w, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
 def test_zero_at_dst_and_above_straight_line(inst):
     grid, model, mask, _, dst = inst
     h = EdgeCoster(grid, model).astar_potential(mask, dst)
@@ -76,15 +70,17 @@ def test_zero_at_dst_and_above_straight_line(inst):
     planar = planar_bound(grid, model, mask, dst)
     assert planar[dst[1], dst[0]] == 0.0
     dest_m = (dst[0] * grid.dxy, dst[1] * grid.dxy)
+    rows = straight_line_rows(grid, model, dst)
     for y in range(grid.ny):
         for x in range(grid.nx):
             straight = astar_heuristic(model, (x * grid.dxy, y * grid.dxy), dest_m)
+            assert rows[y][x] == straight
             assert h[y][x] >= straight
             assert h[y][x] == max(straight, planar[y, x])
 
 
 @settings(max_examples=40, deadline=None)
-@given(instances())
+@given(small_instances())
 def test_vector_pricer_matches_scalar(inst):
     grid, model, mask, _, _ = inst
     moves = np.array(list(unit_moves(grid, mask)), dtype=np.int64)
@@ -95,7 +91,7 @@ def test_vector_pricer_matches_scalar(inst):
 
 
 @settings(max_examples=60, deadline=None)
-@given(instances())
+@given(small_instances())
 def test_astar_equals_dijkstra_across_the_switch(inst):
     grid, model, mask, src, dst = inst
     sd, sa = SearchStats(), SearchStats(record_settles=True)

@@ -77,6 +77,13 @@ class TestEdgeCost:
             assert coster(u, w) == pytest.approx(direct, rel=1e-12)
             assert coster(w, u) == coster(u, w)
 
+    def test_fresh_costers_agree_in_either_direction(self):
+        # Computed from whichever end was asked first, this move priced
+        # 23.29070265370882 forwards and 23.290702653708877 backwards.
+        g = synth_terrain(5, 60, 30, 20.0)
+        u, w = AugVertex(0, 0, 10, 1, -1), AugVertex(1, 1, 9, 1, -1)
+        assert EdgeCoster(g, CostModel())(u, w) == EdgeCoster(g, CostModel())(w, u)
+
 
 class TestHeuristic:
     def test_zero_at_destination(self):

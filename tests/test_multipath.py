@@ -114,6 +114,18 @@ class TestLaneFixture:
             assert result.solved, f"{algo} failed on the lane fixture"
             assert len(result.paths) == 3
 
+    def test_counts_unchanged(self, lane_runs):
+        # expansions / peak_labels / iterations of each algorithm; a change
+        # to an engine that keeps the corridors but moves these is a finding.
+        counts = {algo: (r.expansions, r.peak_labels, r.iterations) for algo, r in lane_runs.items()}
+        assert counts == {
+            "se": (73_304, 23_928, 7),
+            "ipa": (63_616, 25_202, 5),
+            "kspa": (14_175, 27_325, 14_175),
+            "bds": (110_470, 129_283, 1_009),
+            "hybrid": (131_272, 153_019, 1_052),
+        }
+
     def test_three_criteria(self, lane_runs):
         for result in lane_runs.values():
             assert all(r <= 1.10 + 1e-12 for r in result.cost_ratios)

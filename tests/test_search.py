@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from corridor import CostModel, TerrainGrid, bidi_engine, simple_height_mask
 from corridor.cost import EdgeCoster
 from corridor.graph import AugVertex, ground_z_index, successors3do
-from corridor.search import SearchStats, astar, dijkstra
+from corridor.search import SearchStats, _LabelSide, _settles, astar, dijkstra
 from corridor.terrain import synth_terrain
 
 from conftest import flat_grid, lane_grid
@@ -223,3 +225,25 @@ class TestBidiEngine:
         list(bidi_engine(grid, model, mask, src, dst, cutoff=opt, stats=tight).events())
         list(bidi_engine(grid, model, mask, src, dst, cutoff=1.2 * opt, stats=loose).events())
         assert tight.expansions < loose.expansions
+
+
+def test_dropped_sides_are_freed_without_the_cycle_collector(model):
+    # A side holds no reference back to itself, so dropping it frees its
+    # labels at once instead of at the next cyclic collection.
+    grid, mask, src, dst = random_instance(3)
+    refs = []
+    gc.disable()
+    try:
+        for labels in (1, 2):
+            eng = bidi_engine(grid, model, mask, src, dst, labels=labels, min_diff=12.0, max_diff=10.0)
+            assert sum(1 for _ in zip(range(50), eng.events())) == 50
+            refs += [weakref.ref(eng._fwd), weakref.ref(eng._bwd)]
+            del eng
+        side = _LabelSide(grid, mask, EdgeCoster(grid, model), src, True, 3, 12.0, 10.0)  # as kspa builds it
+        assert sum(1 for _ in zip(range(50), _settles(side, SearchStats(), None, None))) == 50
+        refs.append(weakref.ref(side))
+        del side
+        assert [ref() for ref in refs] == [None] * 5
+    finally:
+        gc.enable()
+
