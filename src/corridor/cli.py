@@ -48,10 +48,12 @@ SOLVE_DEFAULTS = {
     "hi": "0.5",
     "penalty_width": "10",
     "penalty_max": "320",
+    "kappa": "",             # blank: k
     "ka": "2",
     "kb": "",                # blank: k
     "w": "",                 # blank: derived from min_diff and map width
     "timeout": "300",
+    "label_cap": "",         # blank: the MultipathConfig default
     "paving_rate": "1.0",
     "cut_rate": "1.0",
     "fill_rate": "1.0",
@@ -145,10 +147,12 @@ def cmd_solve(config_path: str) -> int:
         w=int(cfg["w"]) if cfg["w"] else None,
         penalty_width=float(cfg["penalty_width"]),
         penalty_max=float(cfg["penalty_max"]),
+        kappa=int(cfg["kappa"]) if cfg["kappa"] else None,
         ka=int(cfg["ka"]),
         kb=int(cfg["kb"]) if cfg["kb"] else None,
         timeout=float(cfg["timeout"]),
         use_astar=_bool(cfg["astar"]),
+        label_cap=int(cfg["label_cap"]) if cfg["label_cap"] else MultipathConfig.label_cap,
     )
     result = solve(grid, model, mask, src, dst, mp)
     out_dir = cfg["out_dir"]

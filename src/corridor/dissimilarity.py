@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import truediv
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -43,61 +42,76 @@ def cost_bar(opt_cost: float, max_diff: float) -> float:
 
 
 class Profile:
-    """The lateral profile of a path: the y sums and visit counts of its
-    vertices in each x column of its contiguous x-hull [lo, hi].
+    """The lateral profile of a path over its contiguous x-hull [lo, hi],
+    as a persistent structure.
 
-    Consecutive vertices are at most one column apart, as on every grid
-    path, so each column of the hull is visited.  The per-column means are
-    derived when first asked for and cached, since a profile is compared
-    against many others.  The search engine's labels extend this class, so
-    a label's profile costs no extra object.
+    It holds the column ``x`` of the path's last vertex, the y sum ``ysum``
+    and visit count ``n`` of the path's vertices there, and ``left`` and
+    ``right``: the profiles that ended at the path's last visits to columns
+    ``x - 1`` and ``x + 1`` (None past the hull), which hold those columns'
+    final sums.  Consecutive vertices are at most one column apart, as on
+    every grid path, so extending a profile is O(1) and copies nothing.
+    The search engine's labels extend this class, so a label's profile
+    costs no extra object.
     """
 
-    __slots__ = ("sums", "counts", "lo", "hi", "_means")
+    __slots__ = ("x", "ysum", "n", "lo", "hi", "left", "right")
 
     def __init__(self, base: Optional[Profile], x: int, y: float):
         """The profile of ``base`` extended by a vertex at (x, y); with no
         ``base``, the profile of that one vertex."""
-        y = float(y)
         if base is None:
-            self.sums, self.counts, self.lo, self.hi = [y], [1], x, x
-        elif x < base.lo:
-            self.sums, self.counts, self.lo, self.hi = [y] + base.sums, [1] + base.counts, x, base.hi
-        elif x > base.hi:
-            self.sums, self.counts, self.lo, self.hi = base.sums + [y], base.counts + [1], base.lo, x
+            prev = left = right = None
+            self.lo = self.hi = x
         else:
-            self.sums, self.counts, self.lo, self.hi = list(base.sums), list(base.counts), base.lo, base.hi
-            i = x - base.lo
-            self.sums[i] += y
-            self.counts[i] += 1
-        self._means = None
+            step = x - base.x
+            if step == 0:
+                prev, left, right = base, base.left, base.right
+            elif step == 1:
+                prev = base.right
+                left, right = base, prev.right if prev is not None else None
+            elif step == -1:
+                prev = base.left
+                left, right = prev.left if prev is not None else None, base
+            else:
+                raise ValueError("consecutive path vertices must be at most one column apart")
+            self.lo, self.hi = min(base.lo, x), max(base.hi, x)
+        self.x, self.left, self.right = x, left, right
+        if prev is None:
+            self.ysum, self.n = float(y), 1
+        else:
+            self.ysum, self.n = prev.ysum + y, prev.n + 1
 
-    @classmethod
-    def of_path(cls, vertices: Sequence) -> Profile:
-        """The profile of a whole vertex sequence, built in one pass."""
-        lo = min(v.x for v in vertices)
-        hi = max(v.x for v in vertices)
-        sums = [0.0] * (hi - lo + 1)
-        counts = [0] * (hi - lo + 1)
+    @staticmethod
+    def of_path(vertices: Sequence) -> Profile:
+        """The profile of a whole vertex sequence, extended vertex by vertex."""
+        prof = None
         for v in vertices:
-            sums[v.x - lo] += v.y
-            counts[v.x - lo] += 1
-        if 0 in counts:
-            raise ValueError("consecutive path vertices must be at most one column apart")
-        prof = cls.__new__(cls)
-        prof.sums, prof.counts, prof.lo, prof.hi, prof._means = sums, counts, lo, hi, None
+            prof = Profile(prof, v.x, v.y)
         return prof
 
     def means(self) -> list[float]:
-        """Mean y per column of the hull, from ``lo`` to ``hi``."""
-        if self._means is None:
-            self._means = list(map(truediv, self.sums, self.counts))
-        return self._means
+        """Mean y per column of the hull, from ``lo`` to ``hi``, walked from
+        the tip to the left and then to the right."""
+        means = []
+        p = self
+        while p is not None:
+            means.append(p.ysum / p.n)
+            p = p.left
+        means.reverse()
+        p = self.right
+        while p is not None:
+            means.append(p.ysum / p.n)
+            p = p.right
+        return means
 
     def mean_at(self, x: int) -> float:
         """Mean y at column ``x``, held at the end values outside the hull."""
-        means = self.means()
-        return means[min(max(x - self.lo, 0), len(means) - 1)]
+        x = min(max(x, self.lo), self.hi)
+        p = self
+        while p.x != x:
+            p = p.left if x < p.x else p.right
+        return p.ysum / p.n
 
 
 def area_cells(a: Profile, b: Profile, stop: float = math.inf) -> float:

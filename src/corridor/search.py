@@ -329,10 +329,9 @@ def astar(
 
 class _Label(Profile):
     """A partial path of a multi-label side: cost, tip state, parent link and
-    the lateral :class:`~corridor.dissimilarity.Profile` of its states.
-    ``seq`` is the push order, set when the label enters the heap."""
+    the lateral :class:`~corridor.dissimilarity.Profile` of its states."""
 
-    __slots__ = ("cost", "state", "parent", "alive", "seq")
+    __slots__ = ("cost", "state", "parent", "alive")
 
     def __init__(self, cost, state, parent):
         self.cost = cost
@@ -387,7 +386,6 @@ class _LabelSide:
 
     def _push(self, label: _Label) -> None:
         self._seq += 1
-        label.seq = self._seq
         state = label.state
         self.labels.setdefault(state, []).append(label)
         self._held += 1
@@ -443,9 +441,6 @@ class _LabelSide:
                 return
             if where != "add":
                 self._kill(bucket[where])
-            # Many kept labels are never compared against; dropping the means
-            # until one is keeps them out of memory.
-            label._means = None
         self._push(label)
 
     def cost(self, label: _Label) -> float:

@@ -3,6 +3,8 @@ area integral and the placement rule, on random station paths (one vertex
 per column, any y) and random 8-neighbour vertex walks (which may double
 back over a column)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,19 @@ def reference_area(p, q, cfg):
 CFG = AreaConfig(min_diff=12.0, map_width=200.0, endpoint_distance=300.0, dxy=10.0)
 
 
+def columns(profile):
+    """(y sum, visit count) per column from lo to hi, walked from the tip."""
+    left, p = [], profile
+    while p is not None:
+        left.append((p.ysum, p.n))
+        p = p.left
+    right, p = [], profile.right
+    while p is not None:
+        right.append((p.ysum, p.n))
+        p = p.right
+    return left[::-1] + right
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(station_points(), walk_points()))
 def test_extended_profile_equals_whole_path_profile(points):
@@ -93,8 +108,29 @@ def test_extended_profile_equals_whole_path_profile(points):
     for x, y in points:
         grown = Profile(grown, x, y)
     whole = Profile.of_path(to_path(points).vertices)
-    assert (grown.lo, grown.hi, grown.sums, grown.counts) == (whole.lo, whole.hi, whole.sums, whole.counts)
-    assert grown.means() == whole.means()
+    # The y values of each column, summed in path order.
+    ys = {}
+    for x, y in points:
+        ys.setdefault(x, []).append(y)
+    expected = [(sum(ys[x]), len(ys[x])) for x in sorted(ys)]
+    assert (grown.lo, grown.hi) == (whole.lo, whole.hi) == (min(ys), max(ys))
+    assert columns(grown) == columns(whole) == expected
+    assert grown.means() == whole.means() == [s / n for s, n in expected]
+
+
+def test_a_long_walk_keeps_every_profile_small():
+    # Labels keep every intermediate profile alive; extending one copies
+    # nothing, so 2,000 of them fit in well under 2 MB.
+    tracemalloc.start()
+    try:
+        profiles = [Profile(None, 0, 0.0)]
+        for x in range(1, 2000):
+            profiles.append(Profile(profiles[-1], x, x % 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(profiles[-1].means()) == 2000
+    assert peak < 2_000_000
 
 
 @settings(max_examples=200, deadline=None)
