@@ -48,7 +48,6 @@ SOLVE_DEFAULTS = {
     "hi": "0.5",
     "penalty_width": "10",
     "penalty_max": "320",
-    "kappa": "",             # blank: k
     "ka": "2",
     "kb": "",                # blank: k
     "w": "",                 # blank: derived from min_diff and map width
@@ -147,7 +146,6 @@ def cmd_solve(config_path: str) -> int:
         w=int(cfg["w"]) if cfg["w"] else None,
         penalty_width=float(cfg["penalty_width"]),
         penalty_max=float(cfg["penalty_max"]),
-        kappa=int(cfg["kappa"]) if cfg["kappa"] else None,
         ka=int(cfg["ka"]),
         kb=int(cfg["kb"]) if cfg["kb"] else None,
         timeout=float(cfg["timeout"]),

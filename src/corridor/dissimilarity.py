@@ -105,25 +105,21 @@ class Profile:
             p = p.right
         return means
 
-    def mean_at(self, x: int) -> float:
-        """Mean y at column ``x``, held at the end values outside the hull."""
-        x = min(max(x, self.lo), self.hi)
-        p = self
-        while p.x != x:
-            p = p.left if x < p.x else p.right
-        return p.ysum / p.n
-
 
 def area_cells(a: Profile, b: Profile, stop: float = math.inf) -> float:
     """Area between two profiles in grid cells: the sum of |mean gap| over
     the union of their hulls, each profile held at its end values outside
     its own hull.  Once the running sum reaches ``stop`` it is returned as
     it stands, so ``area_cells(a, b, s) < s`` decides like the full sum."""
-    ma, mb = a.means(), b.means()
-    a_lo, b_lo = a.lo, b.lo
+    return area_of_means(a.lo, a.means(), b.lo, b.means(), stop)
+
+
+def area_of_means(a_lo: int, ma: list[float], b_lo: int, mb: list[float], stop: float = math.inf) -> float:
+    """:func:`area_cells` of two profiles given as their ``lo`` and
+    ``means()``, for a caller that compares one profile against many."""
     na1, nb1 = len(ma) - 1, len(mb) - 1
     area = 0.0
-    for x in range(min(a_lo, b_lo), max(a.hi, b.hi) + 1):
+    for x in range(min(a_lo, b_lo), max(a_lo + na1, b_lo + nb1) + 1):
         ia = x - a_lo
         ib = x - b_lo
         d = ma[0 if ia < 0 else (na1 if ia > na1 else ia)] - mb[0 if ib < 0 else (nb1 if ib > nb1 else ib)]

@@ -311,9 +311,11 @@ def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float
     reach = max(1.0, (width_percent / 100.0) * (grid.ny - 1))
     per_path = []
     for p in paths:
-        # The centerline per map column, looked up once per priced edge.
+        # The centerline per map column, held at its end values outside the
+        # path's x-hull and looked up once per priced edge.
         profile = Profile.of_path(p.vertices)
-        ybar = [profile.mean_at(x) for x in range(grid.nx)]
+        means, last = profile.means(), profile.hi - profile.lo
+        ybar = [means[min(max(x - profile.lo, 0), last)] for x in range(grid.nx)]
         peak = (width_percent / 100.0) * (p.total_cost / max(1, len(p.vertices) - 1))
         per_path.append((ybar, peak))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, ikeda_potentials, straight_line_rows
-from .dissimilarity import Profile, area_cells, cost_bar, place
+from .dissimilarity import Profile, area_of_means, cost_bar, place
 from .graph import (
     AugVertex,
     HeightMask,
@@ -434,8 +434,10 @@ class _LabelSide:
             return
         label = _Label(cost, state, parent)
         if bucket:
-            stop = self._stop_cells(state)
-            similar = [i for i, other in enumerate(bucket) if area_cells(label, other, stop) < stop]
+            stop, lo, means = self._stop_cells(state), label.lo, label.means()
+            similar = [
+                i for i, other in enumerate(bucket) if area_of_means(lo, means, other.lo, other.means(), stop) < stop
+            ]
             where = place([l.cost for l in bucket], similar, cost, self.cap)
             if where == "reject":
                 return

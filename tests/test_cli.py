@@ -4,7 +4,6 @@ import pytest
 
 from corridor import CostModel, load_grid, save_grid, simple_height_mask
 from corridor.cli import main, parse_config, SOLVE_DEFAULTS
-from corridor.multipath import MultipathConfig, solve
 from corridor.pathio import read_path_set
 
 from conftest import canyon_grid, flat_grid, lane_grid
@@ -98,23 +97,6 @@ class TestSolve:
         assert main(["solve", str(cfg)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solved"] is True and len(summary["costs"]) == 2
-
-    def test_kappa_reaches_kspa(self, tmp_path):
-        grid = flat_grid()
-        grid_path = tmp_path / "flat.grid"
-        save_grid(grid, grid_path)
-        cfg = tmp_path / "solve.cfg"
-        out = tmp_path / "out"
-        cfg.write_text(
-            f"grid = {grid_path}\n"
-            "src = 0,8\ndst = 41,8\n"
-            "algorithm = kspa\nkappa = 1\nmask = none\n"
-            f"out_dir = {out}\n"
-        )
-        main(["solve", str(cfg)])
-        summary = json.loads((out / "summary.json").read_text())
-        direct = solve(grid, CostModel(), None, (0, 8), (41, 8), MultipathConfig(algorithm="kspa", kappa=1))
-        assert (summary["expansions"], summary["peak_labels"]) == (direct.expansions, direct.peak_labels)
 
     def test_label_cap_cuts_the_search_short(self, lane_setup):
         _, cfg, out = lane_setup

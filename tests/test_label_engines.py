@@ -7,13 +7,16 @@ chains and which obey the side's dissimilarity and cost rules.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridor import CostModel
 from corridor.cost import EdgeCoster, straight_line_rows
 from corridor.dissimilarity import Profile, area_cells, cost_bar
 from corridor.multipath import MultipathConfig, solve
 from corridor.search import SearchStats, _LabelSide, _settles, dijkstra
+from corridor.terrain import synth_terrain
 
 from strategies import small_instances
 
@@ -34,25 +37,34 @@ def test_kspa_with_one_label_is_dijkstra(inst):
     assert found and found[0].total_cost == best.total_cost
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    small_instances(),
-    st.sampled_from((2, 3)),
-    st.sampled_from((2.0, 12.0)),
-    st.sampled_from((5.0, 30.0)),
-    st.booleans(),
-    st.booleans(),
-)
-def test_held_labels_keep_the_side_rules(inst, cap, min_diff, max_diff, keyed, forward):
+def exhausted_side(inst, cap, min_diff, max_diff, keyed, forward):
+    """A label side from ``src`` (``dst`` if not ``forward``) run until its
+    heap is empty."""
     grid, model, mask, src, dst = inst
-    # Both directions: a forward state's orientation fixes the position its
-    # offers come from, so they arrive in cost order, and only on a backward
-    # side can a later, cheaper offer replace a held label.
     origin, goal = (src, dst) if forward else (dst, src)
     rows = straight_line_rows(grid, model, goal) if keyed else None
     side = _LabelSide(grid, mask, EdgeCoster(grid, model), origin, forward, cap, min_diff, max_diff, rows)
     for _ in _settles(side, SearchStats(), None, None):
         pass
+    return side
+
+
+def assert_within_cost_bar(side, max_diff):
+    for bucket in side.labels.values():
+        bar = cost_bar(min(l.cost for l in bucket), max_diff)
+        assert all(l.cost <= bar for l in bucket)
+
+
+SIDES = (st.sampled_from((2, 3)), st.sampled_from((2.0, 12.0)), st.sampled_from((5.0, 30.0)), st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(), *SIDES, st.booleans())
+def test_held_labels_keep_the_side_rules(inst, cap, min_diff, max_diff, keyed, forward):
+    # Both directions: a forward state's orientation fixes the position its
+    # offers come from, so they arrive in cost order, and only on a backward
+    # side can a later, cheaper offer replace a held label.
+    side = exhausted_side(inst, cap, min_diff, max_diff, keyed, forward)
     for state, bucket in side.labels.items():
         assert len(bucket) <= cap
         for label in bucket:
@@ -60,8 +72,20 @@ def test_held_labels_keep_the_side_rules(inst, cap, min_diff, max_diff, keyed, f
         stop = side._stop_cells(state)
         for a, b in itertools.combinations(bucket, 2):
             assert area_cells(a, b, stop) >= stop
-        if forward:
-            # The bar is tested when a label is offered, so on a backward
-            # side a later, cheaper label can leave held ones above it.
-            bar = cost_bar(min(l.cost for l in bucket), max_diff)
-            assert all(l.cost <= bar for l in bucket)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(), *SIDES)
+def test_forward_labels_keep_the_cost_bar(inst, cap, min_diff, max_diff, keyed):
+    assert_within_cost_bar(exhausted_side(inst, cap, min_diff, max_diff, keyed, True), max_diff)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the cost bar is tested only when a label is offered; on a backward side a later, "
+    "cheaper label can lower it and leave held labels above it",
+)
+def test_backward_labels_keep_the_cost_bar():
+    grid = synth_terrain(0, 6, 5, 4.0)
+    side = exhausted_side((grid, CostModel(), None, (0, 2), (5, 2)), 2, 2.0, 5.0, False, False)
+    assert_within_cost_bar(side, 5.0)

@@ -21,7 +21,9 @@ from corridor.dissimilarity import (
     place,
 )
 from corridor.graph import AugVertex
+from corridor.multipath import _corridor_penalty
 from corridor.search import Path
+from corridor.terrain import synth_terrain
 
 STEPS = st.sampled_from([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
@@ -197,6 +199,10 @@ def test_profile_rejects_a_skipped_column():
 
 
 def test_mean_is_held_at_the_hull_ends():
-    profile = Profile.of_path(to_path([(3, 1), (4, 2), (4, 4), (5, 7)]).vertices)
-    assert profile.means() == [1.0, 3.0, 7.0]
-    assert [profile.mean_at(x) for x in (0, 3, 4, 5, 9)] == [1.0, 1.0, 3.0, 7.0, 7.0]
+    # ipa's corridor penalty peaks on a path's per-column means, held at the
+    # end values outside the path's x-hull.
+    path = to_path([(3, 1), (4, 2), (4, 4), (5, 7)])
+    assert Profile.of_path(path.vertices).means() == [1.0, 3.0, 7.0]
+    penalty = _corridor_penalty(synth_terrain(0, 10, 9, 0.0), [path], 50.0)
+    at = [penalty(None, AugVertex(x, y, 0, 0, 0)) for x, y in ((0, 1), (3, 1), (4, 3), (5, 7), (9, 7))]
+    assert at == [at[0]] * 5 and at[0] > penalty(None, AugVertex(0, 2, 0, 0, 0))
