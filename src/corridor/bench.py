@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .cost import CostModel
-from .graph import expanding_height_mask, simple_height_mask
+from .graph import MASK_KINDS, height_mask
 from .multipath import MultipathConfig, MultipathResult, solve
 from .terrain import TerrainClassBreakdown, TerrainGrid, classify, synth_terrain
 
@@ -47,7 +47,7 @@ class BenchSolver:
     hi_band: float = 0.5
 
     def __post_init__(self):
-        if self.mask not in ("none", "hr", "ehr"):
+        if self.mask not in MASK_KINDS:
             raise ValueError(f"unknown mask kind {self.mask!r}")
 
 
@@ -135,13 +135,8 @@ def run_cell(
     result = MultipathResult(algorithm=solver.algorithm, paths=[], optimal_cost=None,
                              cost_ratios=[], area_matrix=[], solved=False)
     try:
-        if solver.mask == "hr":
-            mask = simple_height_mask(grid, solver.hm, solver.r)
-        elif solver.mask == "ehr":
-            mask = expanding_height_mask(grid, solver.hi_band, model.max_grade,
-                                         src=bmap.src, dst=bmap.dst)
-        else:
-            mask = None
+        mask = height_mask(grid, solver.mask, solver.hm, solver.r, solver.hi_band,
+                           model.max_grade, bmap.src, bmap.dst)
         result = solve(grid, model, mask, bmap.src, bmap.dst, cfg)
     except Exception as exc:  # record, never abort the matrix
         error = f"{type(exc).__name__}: {exc}"

@@ -8,7 +8,9 @@ Commands:
   corridor terrain synth --seed S --nx N --ny M --relief R -o FILE
 
 Configs are flat ``key = value`` text files; ``#`` starts a comment.  Keys and
-defaults are documented in :data:`SOLVE_DEFAULTS` and :data:`BENCH_DEFAULTS`.
+defaults are documented in :data:`SOLVE_DEFAULTS` and :data:`BENCH_DEFAULTS`,
+which both include :data:`SHARED_DEFAULTS`.  A boolean is one of
+1/0, true/false, yes/no or on/off, in any case.
 Exit codes: 0 solved, 2 valid run without a solution, 1 any error.
 """
 
@@ -28,31 +30,20 @@ from .bench import (
     synth_map_set,
 )
 from .cost import CostModel
-from .graph import expanding_height_mask, simple_height_mask
+from .graph import height_mask
 from .multipath import MultipathConfig, solve
 from .pathio import write_path_set, write_summary
 from .terrain import classify, load_grid, save_grid, synth_terrain
 
-SOLVE_DEFAULTS = {
-    "grid": "",              # path to a grid file (required)
-    "src": "",               # "x,y" grid coordinates (required)
-    "dst": "",               # "x,y" grid coordinates (required)
-    "algorithm": "bds",      # se | ipa | kspa | bds | hybrid
-    "astar": "false",
-    "mask": "hr",            # none | hr | ehr
+# The keys that both ``solve`` and ``bench`` read.
+SHARED_DEFAULTS = {
     "k": "3",
     "min_diff": "12",
     "max_diff": "10",
     "r": "3",
     "hm": "1",
     "hi": "0.5",
-    "penalty_width": "10",
-    "penalty_max": "320",
-    "ka": "2",
-    "kb": "",                # blank: k
-    "w": "",                 # blank: derived from min_diff and map width
     "timeout": "300",
-    "label_cap": "",         # blank: the MultipathConfig default
     "paving_rate": "1.0",
     "cut_rate": "1.0",
     "fill_rate": "1.0",
@@ -61,23 +52,25 @@ SOLVE_DEFAULTS = {
     "out_dir": "out",
 }
 
+SOLVE_DEFAULTS = {
+    "grid": "",              # path to a grid file (required)
+    "src": "",               # "x,y" grid coordinates (required)
+    "dst": "",               # "x,y" grid coordinates (required)
+    "algorithm": "bds",      # se | ipa | kspa | bds | hybrid
+    "astar": "false",
+    "mask": "hr",            # none | hr | ehr
+    "penalty_width": "10",
+    "penalty_max": "320",
+    "ka": "2",
+    "label_cap": "",         # blank: the MultipathConfig default
+    **SHARED_DEFAULTS,
+}
+
 BENCH_DEFAULTS = {
     "maps": "",              # comma list: grid paths or synth:SEED:NX:NY:RELIEF
     "solvers": "se,ipa,kspa,bds,hybrid",
     "deterministic": "true",  # omit wall times from CSV; profile by expansions
-    "k": "3",
-    "min_diff": "12",
-    "max_diff": "10",
-    "r": "3",
-    "hm": "1",
-    "hi": "0.5",
-    "timeout": "300",
-    "paving_rate": "1.0",
-    "cut_rate": "1.0",
-    "fill_rate": "1.0",
-    "road_width": "10",
-    "max_grade": "0.10",
-    "out_dir": "out",
+    **SHARED_DEFAULTS,
 }
 
 
@@ -97,8 +90,15 @@ def parse_config(path, defaults: dict) -> dict:
     return cfg
 
 
-def _bool(s: str) -> bool:
-    return s.strip().lower() in ("1", "true", "yes", "on")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(cfg: dict, key: str) -> bool:
+    value = cfg[key].strip().lower()
+    if value not in _BOOLS:
+        raise ValueError(f"{key} = {cfg[key]!r} is not a boolean")
+    return _BOOLS[value]
 
 
 def _xy(s: str) -> tuple[int, int]:
@@ -116,6 +116,17 @@ def _build_model(cfg: dict) -> CostModel:
     )
 
 
+def _multipath_config(cfg: dict, **fields) -> MultipathConfig:
+    """A config from the shared keys, plus the command's own ``fields``."""
+    return MultipathConfig(
+        k=int(cfg["k"]),
+        min_diff=float(cfg["min_diff"]),
+        max_diff=float(cfg["max_diff"]),
+        timeout=float(cfg["timeout"]),
+        **fields,
+    )
+
+
 def cmd_solve(config_path: str) -> int:
     cfg = parse_config(config_path, SOLVE_DEFAULTS)
     if not cfg["grid"] or not cfg["src"] or not cfg["dst"]:
@@ -129,27 +140,15 @@ def cmd_solve(config_path: str) -> int:
         if not (0 <= x < grid.nx and 0 <= y < grid.ny):
             raise ValueError(f"endpoint ({x},{y}) outside grid")
     model = _build_model(cfg)
-    mask_kind = cfg["mask"]
-    if mask_kind == "hr":
-        mask = simple_height_mask(grid, float(cfg["hm"]), int(cfg["r"]))
-    elif mask_kind == "ehr":
-        mask = expanding_height_mask(grid, float(cfg["hi"]), model.max_grade, src=src, dst=dst)
-    elif mask_kind == "none":
-        mask = None
-    else:
-        raise ValueError(f"unknown mask kind {mask_kind!r}")
-    mp = MultipathConfig(
-        k=int(cfg["k"]),
-        min_diff=float(cfg["min_diff"]),
-        max_diff=float(cfg["max_diff"]),
+    mask = height_mask(grid, cfg["mask"], float(cfg["hm"]), int(cfg["r"]), float(cfg["hi"]),
+                       model.max_grade, src, dst)
+    mp = _multipath_config(
+        cfg,
         algorithm=cfg["algorithm"],
-        w=int(cfg["w"]) if cfg["w"] else None,
         penalty_width=float(cfg["penalty_width"]),
         penalty_max=float(cfg["penalty_max"]),
         ka=int(cfg["ka"]),
-        kb=int(cfg["kb"]) if cfg["kb"] else None,
-        timeout=float(cfg["timeout"]),
-        use_astar=_bool(cfg["astar"]),
+        use_astar=_bool(cfg, "astar"),
         label_cap=int(cfg["label_cap"]) if cfg["label_cap"] else MultipathConfig.label_cap,
     )
     result = solve(grid, model, mask, src, dst, mp)
@@ -157,7 +156,7 @@ def cmd_solve(config_path: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     write_path_set(os.path.join(out_dir, "paths.txt"), result)
     write_summary(os.path.join(out_dir, "summary.json"), result, extra={
-        "grid": cfg["grid"], "src": list(src), "dst": list(dst), "mask": mask_kind,
+        "grid": cfg["grid"], "src": list(src), "dst": list(dst), "mask": cfg["mask"],
     })
     print(f"{result.algorithm}: {'solved' if result.solved else 'unsolved'}"
           f" paths={len(result.paths)} expansions={result.expansions}")
@@ -186,20 +185,14 @@ def _parse_maps(spec: str) -> list[BenchMap]:
 
 def cmd_bench(config_path: str) -> int:
     cfg = parse_config(config_path, BENCH_DEFAULTS)
+    deterministic = _bool(cfg, "deterministic")
     maps = _parse_maps(cfg["maps"])
     solvers = [
         make_solver(s.strip(), r=int(cfg["r"]), hm=float(cfg["hm"]), hi_band=float(cfg["hi"]))
         for s in cfg["solvers"].split(",") if s.strip()
     ]
     model = _build_model(cfg)
-    base = MultipathConfig(
-        k=int(cfg["k"]),
-        min_diff=float(cfg["min_diff"]),
-        max_diff=float(cfg["max_diff"]),
-        timeout=float(cfg["timeout"]),
-    )
-    records = run_matrix(maps, solvers, model, base)
-    deterministic = _bool(cfg["deterministic"])
+    records = run_matrix(maps, solvers, model, _multipath_config(cfg))
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     records_to_csv(records, os.path.join(out_dir, "records.csv"),

@@ -10,7 +10,8 @@ the maximum-45-degree-turn rule as a plain shortest-path problem.
 Two vertical restrictions prune states far from the ground: a fixed band
 around the local terrain (:func:`simple_height_mask`) and a rule-expanded
 variant (:func:`expanding_height_mask`) that widens the band where climbing
-ramps or straight-through cuts may be needed.
+ramps or straight-through cuts may be needed.  :func:`height_mask` builds
+either, or none, by name.
 """
 
 from __future__ import annotations
@@ -272,6 +273,24 @@ def expanding_height_mask(
     z_hi = np.ceil(hi_elev / grid.dz - 1e-12).astype(np.int64)
     z_lo = np.floor(lo_elev / grid.dz + 1e-12).astype(np.int64)
     return HeightMask(z_lo=z_lo, z_hi=z_hi)
+
+
+MASK_KINDS = ("none", "hr", "ehr")
+
+
+def height_mask(grid: TerrainGrid, kind: str, hm: float, r: int, hi: float, max_grade: float,
+                src: tuple[int, int], dst: tuple[int, int]) -> Optional[HeightMask]:
+    """The mask of one of :data:`MASK_KINDS`: ``none`` (no mask), ``hr``
+    (:func:`simple_height_mask` with ``hm`` and ``r``) or ``ehr``
+    (:func:`expanding_height_mask` with ``hi``, ``max_grade`` and the
+    endpoints).  Any other kind raises ``ValueError``."""
+    if kind == "hr":
+        return simple_height_mask(grid, hm, r)
+    if kind == "ehr":
+        return expanding_height_mask(grid, hi, max_grade, src=src, dst=dst)
+    if kind == "none":
+        return None
+    raise ValueError(f"unknown mask kind {kind!r}")
 
 
 def _raise_within(hi_elev, center, rad, target, dxy, ramp_m):

@@ -12,7 +12,7 @@ The algorithms:
             and re-search, restoring the wall when the cut fails;
 ``ipa``     additive decaying corridor penalties around accepted paths, with a
             bracketed penalty-width adjustment;
-``kspa``    one multi-label sweep keeping up to kappa mutually-dissimilar
+``kspa``    one multi-label sweep keeping up to k mutually-dissimilar
             labels per augmented vertex;
 ``bds``     consume meet events of the bidirectional engine, maintaining the
             accepted set with add/replace/reject rules;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cost import CostModel, EdgeCoster, straight_line_rows
@@ -61,12 +61,9 @@ class MultipathConfig:
     min_diff: float = 12.0
     max_diff: float = 10.0
     algorithm: str = "bds"
-    w: Optional[int] = None            # sensitivity width; derived when None
     penalty_width: float = 10.0
     penalty_max: float = 320.0
-    kappa: Optional[int] = None        # labels per vertex (kspa); defaults to k
     ka: int = 2                        # labels per vertex per side (hybrid)
-    kb: Optional[int] = None           # paths selected (hybrid); defaults to k
     timeout: float = 300.0
     use_astar: bool = False
     label_cap: int = 2_000_000
@@ -74,12 +71,12 @@ class MultipathConfig:
     def __post_init__(self):
         if self.k <= 1:
             raise ValueError("k must exceed 1")
-        if self.w is not None and self.w < 1:
-            raise ValueError("sensitivity width must be >= 1")
+        if self.max_diff < 0:
+            raise ValueError("max_diff must be >= 0")
+        if self.penalty_width <= 0:
+            raise ValueError("penalty_width must be positive")
         if self.ka < 1:
             raise ValueError("ka must be >= 1")
-        if self.kappa is not None and self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
 
 
 @dataclass
@@ -147,11 +144,10 @@ def _finalize(
     acfg: AreaConfig,
     stats: SearchStats,
     iterations: int,
-    coster: Optional[EdgeCoster] = None,
+    coster: EdgeCoster,
 ) -> MultipathResult:
-    if coster is not None:
-        for p in paths:
-            p.price(coster)
+    for p in paths:
+        p.price(coster)
     paths = sorted(paths, key=lambda p: (p.total_cost, tuple(p.vertices)))
     ratios = [p.total_cost / opt_cost for p in paths] if opt_cost else []
     matrix = pairwise_areas(paths, acfg)
@@ -167,8 +163,6 @@ def _finalize(
             for j in range(i + 1, len(paths))
         )
     )
-    if solved:
-        assert_pairwise_dissimilar(paths, acfg)
     return MultipathResult(
         algorithm=algorithm,
         paths=paths,
@@ -204,7 +198,7 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
     common = dict(stats=stats, coster=coster, deadline=time.monotonic() + cfg.timeout, label_cap=cfg.label_cap)
     searcher = astar if cfg.use_astar else dijkstra
     acfg = _area_config(grid, src, dst, cfg.min_diff)
-    w = cfg.w if cfg.w is not None else sensitivity_width(cfg.min_diff, grid.ny)
+    w = sensitivity_width(cfg.min_diff, grid.ny)
 
     blocked: set[tuple[int, int]] = set()
     walls: list[set[tuple[int, int]]] = []
@@ -373,7 +367,7 @@ def run_ipa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResul
 
 
 def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
-    """Single multi-label sweep from the source, keeping up to kappa mutually
+    """Single multi-label sweep from the source, keeping up to k mutually
     dissimilar labels per augmented vertex, until k paths reach the
     destination or every remaining label prices out.  With ``use_astar`` the
     sweep is keyed by the straight-line bound to the destination."""
@@ -381,9 +375,8 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
     stats = SearchStats()
     coster = EdgeCoster(grid, model)
     acfg = _area_config(grid, src, dst, cfg.min_diff)
-    kappa = cfg.kappa if cfg.kappa is not None else cfg.k
     rows = straight_line_rows(grid, model, dst) if cfg.use_astar else None
-    side = _LabelSide(grid, mask, coster, src, True, kappa, cfg.min_diff, cfg.max_diff, rows)
+    side = _LabelSide(grid, mask, coster, src, True, cfg.k, cfg.min_diff, cfg.max_diff, rows)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)
     dst_paths: list[Path] = []
@@ -411,9 +404,9 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
 # ---------------------------------------------------------------------------
 
 
-def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: int, kb: int) -> MultipathResult:
+def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: int) -> MultipathResult:
     """Consume the meet events of a bidirectional engine with ``ka`` labels
-    per state and side, keeping up to ``kb`` paths by the add/replace/reject
+    per state and side, keeping up to k paths by the add/replace/reject
     rules; a rejected candidate is never reconsidered.  Expansion stops once
     no future meet can price within the cost bar, or at the timeout or the
     label cap."""
@@ -438,7 +431,7 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
         if key in seen:
             continue
         seen.add(key)
-        decision = accept(event.path, accepted, acfg, kb, cfg.max_diff, mu)
+        decision = accept(event.path, accepted, acfg, cfg.k, cfg.max_diff, mu)
         if apply_decision(event.path, accepted, decision):
             assert_pairwise_dissimilar(accepted, acfg)
     return _finalize(name, accepted, mu, cfg, acfg, stats, iterations, coster)
@@ -446,16 +439,15 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
 
 def run_bds(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
     """Consume the meet events of the one-label bidirectional engine."""
-    return _select_meets("bds", grid, model, mask, src, dst, cfg, 1, cfg.k)
+    return _select_meets("bds", grid, model, mask, src, dst, cfg, 1)
 
 
 def run_hybrid(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
     """Bidirectional multi-label growth: each side keeps up to ka labels per
     vertex under the per-vertex dissimilarity rules, meets combine settled
-    labels of matching orientation, and up to kb paths are selected by the
+    labels of matching orientation, and up to k paths are selected by the
     same rules as ``bds`` (which this is when ka == 1)."""
-    kb = cfg.kb if cfg.kb is not None else cfg.k
-    return _select_meets("hybrid", grid, model, mask, src, dst, cfg, cfg.ka, kb)
+    return _select_meets("hybrid", grid, model, mask, src, dst, cfg, cfg.ka)
 
 
 ALGORITHMS = {

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from corridor import CostModel, load_grid, save_grid, simple_height_mask
-from corridor.cli import main, parse_config, SOLVE_DEFAULTS
+from corridor.cli import _bool, main, parse_config, SOLVE_DEFAULTS
 from corridor.pathio import read_path_set
 
 from conftest import canyon_grid, flat_grid, lane_grid
@@ -77,13 +77,33 @@ class TestSolve:
         cfg.write_text(f"grid = {grid_path}\nsrc = 1,1\ndst = 1,1\n")
         assert main(["solve", str(cfg)]) == 1
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # kb, w and kappa were settings once: hybrid selects k paths, the se
+    # wall width follows min_diff and the map width, and kspa keeps k labels.
+    @pytest.mark.parametrize("key", ["bogus", "kb", "w", "kappa"])
+    def test_unknown_key_rejected(self, tmp_path, key, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("grid = x\nsrc = 0,0\ndst = 1,1\nbogus = 7\n")
+        cfg.write_text(f"grid = x\nsrc = 0,0\ndst = 1,1\n{key} = 7\n")
         assert main(["solve", str(cfg)]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_unknown_mask_kind_rejected(self, lane_setup, capsys):
+        _, cfg, _ = lane_setup
+        cfg.write_text(cfg.read_text() + "mask = wat\n")
+        assert main(["solve", str(cfg)]) == 1
+        assert "unknown mask kind 'wat'" in capsys.readouterr().err
+
+    def test_unknown_boolean_rejected(self, lane_setup, capsys):
+        _, cfg, _ = lane_setup
+        cfg.write_text(cfg.read_text().replace("astar = true", "astar = ture"))
+        assert main(["solve", str(cfg)]) == 1
+        assert "is not a boolean" in capsys.readouterr().err
+
+    def test_boolean_spellings(self):
+        for value, meaning in (("1", True), ("TRUE", True), ("Yes", True), (" on ", True),
+                               ("0", False), ("False", False), ("NO", False), ("off", False)):
+            assert _bool({"astar": value}, "astar") is meaning
 
     def test_hybrid_selects_k_paths_by_default(self, tmp_path):
-        # kb is left blank, so it follows k as in MultipathConfig.
         grid_path = tmp_path / "flat.grid"
         save_grid(flat_grid(), grid_path)
         cfg = tmp_path / "solve.cfg"
@@ -111,7 +131,7 @@ class TestSolve:
         assert parsed["grid"] == "g.txt"
         assert parsed["k"] == "3" and parsed["min_diff"] == "12"
         assert parsed["r"] == "3" and parsed["hm"] == "1" and parsed["hi"] == "0.5"
-        assert parsed["penalty_width"] == "10" and parsed["ka"] == "2" and parsed["kb"] == ""
+        assert parsed["penalty_width"] == "10" and parsed["ka"] == "2"
 
 
 class TestTerrainCommands:
@@ -176,3 +196,10 @@ class TestBench:
         assert main(["bench", str(cfg)]) == 0
         header = (tmp_path / "outw" / "records.csv").read_text().splitlines()[0]
         assert "wall_time" in header
+
+    def test_bench_unknown_boolean_rejected(self, tmp_path, capsys):
+        cfg = self.bench_cfg(tmp_path, "outf")
+        cfg.write_text(cfg.read_text() + "deterministic = flase\n")
+        assert main(["bench", str(cfg)]) == 1
+        assert "is not a boolean" in capsys.readouterr().err
+        assert not (tmp_path / "outf").exists()

@@ -224,15 +224,6 @@ class TestKShortestAdaptation:
         r = run_kspa(g, lane_model, mask, (0, 11), (36, 11), cfg)
         assert r.solved and len(r.paths) == 2
 
-    def test_kappa_one_matches_dijkstra(self, lane_model):
-        g = lane_grid(nx=37, ny=14, walls=(8,), wall_height=8.0)
-        mask = simple_height_mask(g, 1.0, 1)
-        cfg = MultipathConfig(k=2, kappa=1, algorithm="kspa", timeout=60)
-        r = run_kspa(g, lane_model, mask, (0, 11), (36, 11), cfg)
-        p = dijkstra(g, lane_model, mask, (0, 11), (36, 11))
-        assert r.paths[0].vertices == p.vertices
-        assert r.paths[0].total_cost == pytest.approx(p.total_cost, rel=1e-12)
-
     def test_astar_same_paths_fewer_expansions(self, lanes, lanes_mask, lane_model):
         from corridor.terrain import synth_terrain
         c04 = synth_terrain(41, 32, 16, 4.0)
@@ -337,8 +328,7 @@ class TestLimitsInsideSearches:
 
 class TestHybrid:
     def test_defaults(self):
-        cfg = MultipathConfig()
-        assert cfg.ka == 2 and (cfg.kb is None or cfg.kb == 3)
+        assert MultipathConfig().ka == 2
 
     def test_ka_one_reduces_to_bds(self, lane_model):
         for seed in (1, 2, 3, 4, 5):
@@ -374,3 +364,11 @@ class TestDispatcher:
             MultipathConfig(k=1)
         with pytest.raises(ValueError):
             MultipathConfig(ka=0)
+
+    # A negative max_diff would reject the optimum itself, and a penalty
+    # width that is not positive prices no corridor or a negative one.
+    @pytest.mark.parametrize("value", [dict(max_diff=-5.0), dict(penalty_width=-5.0), dict(penalty_width=0.0)],
+                             ids=["max_diff=-5", "penalty_width=-5", "penalty_width=0"])
+    def test_config_rejects_values_that_cannot_work(self, value):
+        with pytest.raises(ValueError):
+            MultipathConfig(**value)
