@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from corridor import CostModel, TerrainGrid, simple_height_mask
+from corridor.cost import EdgeCoster
+from corridor.graph import ground_z_index
+from corridor.multipath import MultipathConfig
+from corridor.search import Path, SearchStats, _LabelSide, _settles
 
 
 def lane_grid(nx=53, ny=24, walls=(9, 15), wall_height=8.0, gap=4, dxy=10.0):
@@ -44,6 +48,22 @@ def crossing_grid(nx=41, ny=21, plateau=6.0, amp=4.0):
 
 def flat_grid(nx=42, ny=16, dxy=10.0):
     return TerrainGrid(nx=nx, ny=ny, dxy=dxy, dz=1.0, z=np.zeros((ny, nx)))
+
+
+def one_label_path(grid, model, mask, src, dst):
+    """The path a forward, unguided side holding one label per state settles at dst.
+
+    kspa and hybrid build on this side; with one label per state it is
+    Dijkstra. Returns None when dst is never settled.
+    """
+    coster = EdgeCoster(grid, model)
+    cfg = MultipathConfig()
+    side = _LabelSide(grid, mask, coster, src, True, 1, cfg.min_diff, cfg.max_diff)
+    goal = (*dst, ground_z_index(grid, *dst))
+    found = next((l for _, _, s, l in _settles(side, SearchStats(), None, None) if (s.x, s.y, s.z) == goal), None)
+    if found is None:
+        return None
+    return Path(vertices=side.chain(found), total_cost=0.0).price(coster)
 
 
 @pytest.fixture(scope="session")

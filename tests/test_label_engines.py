@@ -1,6 +1,6 @@
 """The multi-label engines on random small maps, masks and endpoints.
 
-A side with one label per state is Dijkstra, and a multi-label side run
+``kspa`` with one label per state is Dijkstra, and a multi-label side run
 to exhaustion holds, at every state, labels whose profiles match their
 chains and which obey the side's dissimilarity and cost rules.
 """
@@ -8,41 +8,30 @@ chains and which obey the side's dissimilarity and cost rules.
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corridor import CostModel, simple_height_mask
+from corridor import CostModel
 from corridor.cost import EdgeCoster, straight_line_rows
 from corridor.dissimilarity import Profile, area_cells, cost_bar
-from corridor.graph import ground_z_index
-from corridor.multipath import MultipathConfig
-from corridor.search import Path, SearchStats, _LabelSide, _settles, dijkstra
+from corridor.search import SearchStats, _LabelSide, _settles, dijkstra
 from corridor.terrain import synth_terrain
 
-from conftest import lane_grid
+from conftest import one_label_path
 from strategies import small_instances
-
-
-LANES = (lane_grid(nx=37, ny=14, walls=(8,), wall_height=8.0), CostModel(cut_rate=3.0, fill_rate=3.0))
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_instances())
-@example((*LANES, simple_height_mask(LANES[0], 1.0, 1), (0, 11), (36, 11)))
-def test_one_label_side_is_dijkstra(inst):
-    # kspa and hybrid build on this side; with one label per state it must
-    # settle the destination along Dijkstra's path at Dijkstra's cost.
+def test_kspa_with_one_label_is_dijkstra(inst):
+    # kspa and hybrid build on the label side; with one label per state it
+    # must settle the destination along Dijkstra's path at Dijkstra's cost.
     grid, model, mask, src, dst = inst
     best = dijkstra(grid, model, mask, src, dst)
-    coster = EdgeCoster(grid, model)
-    cfg = MultipathConfig()
-    side = _LabelSide(grid, mask, coster, src, True, 1, cfg.min_diff, cfg.max_diff)
-    goal = (*dst, ground_z_index(grid, *dst))
-    found = next((l for _, _, s, l in _settles(side, SearchStats(), None, None) if (s.x, s.y, s.z) == goal), None)
+    path = one_label_path(grid, model, mask, src, dst)
     if best is None:
-        assert found is None
+        assert path is None
         return
-    path = Path(vertices=side.chain(found), total_cost=0.0).price(coster)
     assert path.vertices == best.vertices
     assert path.total_cost == best.total_cost
 

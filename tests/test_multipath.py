@@ -18,7 +18,7 @@ from corridor.multipath import (
 )
 from corridor.search import Path, dijkstra
 
-from conftest import LANES_DST, LANES_SRC, canyon_grid, crossing_grid, flat_grid, lane_grid
+from conftest import LANES_DST, LANES_SRC, canyon_grid, crossing_grid, flat_grid, lane_grid, one_label_path
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +223,15 @@ class TestKShortestAdaptation:
         cfg = MultipathConfig(k=2, algorithm="kspa", timeout=60)
         r = run_kspa(g, lane_model, mask, (0, 11), (36, 11), cfg)
         assert r.solved and len(r.paths) == 2
+
+    def test_kappa_one_matches_dijkstra(self, lane_model):
+        # kspa's side with one label per state is Dijkstra.
+        g = lane_grid(nx=37, ny=14, walls=(8,), wall_height=8.0)
+        mask = simple_height_mask(g, 1.0, 1)
+        r = one_label_path(g, lane_model, mask, (0, 11), (36, 11))
+        p = dijkstra(g, lane_model, mask, (0, 11), (36, 11))
+        assert r.vertices == p.vertices
+        assert r.total_cost == pytest.approx(p.total_cost, rel=1e-12)
 
     def test_astar_same_paths_fewer_expansions(self, lanes, lanes_mask, lane_model):
         from corridor.terrain import synth_terrain
