@@ -25,8 +25,8 @@ print(f"astar:    cost {guided.total_cost:10.2f}  expansions {stats_a.expansions
 stats_b = SearchStats()
 engine = bidi_engine(grid, model, mask, src, dst, use_ikeda=True,
                      cutoff=best.total_cost, stats=stats_b)
-meet = min(engine.events(), key=lambda ev: ev.total)
-print(f"bidi+pot: cost {meet.total:10.2f}  expansions {stats_b.expansions:6d}")
+meet = min(engine.events(), key=lambda p: p.total_cost)
+print(f"bidi+pot: cost {meet.total_cost:10.2f}  expansions {stats_b.expansions:6d}")
 
 # The optimal corridor as grid coordinates with cumulative cost.
 print("\noptimal corridor (x, y, z, heading, climb) -> cumulative cost")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .cost import CostModel
 from .graph import MASK_KINDS, height_mask
-from .multipath import MultipathConfig, MultipathResult, solve
+from .multipath import ALGORITHMS, MultipathConfig, MultipathResult, solve
 from .terrain import TerrainClassBreakdown, TerrainGrid, classify, synth_terrain
 
 
@@ -96,20 +96,21 @@ SOLVER_MODIFIERS = ("astar", "hr", "ehr")
 def make_solver(spec: str, r: int = 3, hm: float = 1.0, hi_band: float = 0.5) -> BenchSolver:
     """Parse a solver spec like ``bds+astar+hr`` into a BenchSolver.
 
-    Raises ValueError on a modifier other than ``astar``, ``hr`` or ``ehr``,
-    so a misspelt one cannot run a different solver under the spec's name."""
-    parts = spec.split("+")
-    algorithm = parts[0]
-    unknown = [p for p in parts[1:] if p not in SOLVER_MODIFIERS]
+    Raises ValueError on an unknown algorithm, on a modifier other than
+    ``astar``, ``hr`` or ``ehr``, on a repeated modifier and on both masks,
+    so no spec can run a different solver under its name."""
+    algorithm, *mods = spec.split("+")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"solver spec {spec!r}: unknown algorithm {algorithm!r}")
+    unknown = [p for p in mods if p not in SOLVER_MODIFIERS]
     if unknown:
         raise ValueError(f"solver spec {spec!r}: unknown part(s) {', '.join(map(repr, unknown))}")
-    use_astar = "astar" in parts[1:]
-    mask = "none"
-    if "hr" in parts[1:]:
-        mask = "hr"
-    if "ehr" in parts[1:]:
-        mask = "ehr"
-    return BenchSolver(name=spec, algorithm=algorithm, use_astar=use_astar,
+    if len(set(mods)) < len(mods):
+        raise ValueError(f"solver spec {spec!r}: a modifier is repeated")
+    if "hr" in mods and "ehr" in mods:
+        raise ValueError(f"solver spec {spec!r}: names both masks, hr and ehr")
+    mask = "hr" if "hr" in mods else "ehr" if "ehr" in mods else "none"
+    return BenchSolver(name=spec, algorithm=algorithm, use_astar="astar" in mods,
                        mask=mask, r=r, hm=hm, hi_band=hi_band)
 
 

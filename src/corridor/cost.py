@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -82,11 +82,12 @@ def edge_cost(model: CostModel, edge: tuple[Point3, Point3], grid: TerrainGrid) 
 
 
 class EdgeCoster:
-    """Memoized edge pricing between augmented states of one grid/model pair.
+    """Memoized pricing of unit grid moves between augmented states of one
+    grid/model pair, by a closed form of :func:`edge_cost` for such moves.
 
-    Unit grid moves dominate the hot search loops, so the midpoint ground
-    elevation is computed in closed form (orthogonal: mean of the endpoints,
-    diagonal: mean of the 4 cell corners — both exactly the bilinear value).
+    The midpoint ground elevation is computed in closed form (orthogonal:
+    mean of the endpoints, diagonal: mean of the 4 cell corners — both
+    exactly the bilinear value).  Any other move raises ``ValueError``.
     """
 
     def __init__(self, grid: TerrainGrid, model: CostModel):
@@ -120,19 +121,14 @@ class EdgeCoster:
         g1 = z[y1][x1]
         dx = x1 - x0
         dy = y1 - y0
-        if abs(dx) <= 1 and abs(dy) <= 1 and (dx or dy):
-            if dx and dy:
-                gm = 0.25 * (g0 + g1 + z[y0][x1] + z[y1][x0])
-                length_2d = dxy * 1.4142135623730951
-            else:
-                gm = 0.5 * (g0 + g1)
-                length_2d = dxy
+        if not (abs(dx) <= 1 and abs(dy) <= 1 and (dx or dy)):
+            raise ValueError(f"not a unit grid move: ({x0}, {y0}) -> ({x1}, {y1})")
+        if dx and dy:
+            gm = 0.25 * (g0 + g1 + z[y0][x1] + z[y1][x0])
+            length_2d = dxy * 1.4142135623730951
         else:
-            return edge_cost(
-                model,
-                ((x0 * dxy, y0 * dxy, zi0 * grid.dz), (x1 * dxy, y1 * dxy, zi1 * grid.dz)),
-                grid,
-            )
+            gm = 0.5 * (g0 + g1)
+            length_2d = dxy
         r0 = zi0 * grid.dz
         r1 = zi1 * grid.dz
         rm = 0.5 * (r0 + r1)
@@ -353,21 +349,14 @@ def straight_line_rows(grid: TerrainGrid, model: CostModel, dst: tuple[int, int]
     return [[rate * hypot(gx, gy) for gx in gaps_x] for gy in gaps_y]
 
 
-def ikeda_potentials(
-    hf: Callable[..., float],
-    hb: Callable[..., float],
-) -> tuple[Callable[..., float], Callable[..., float]]:
-    """Average-difference potential pair for bidirectional A*.
+def ikeda_potentials(rows_f: list[list[float]], rows_b: list[list[float]]) -> tuple[list, list]:
+    """Average-difference potential pair for bidirectional A*, as rows
+    ``[y][x]``, from the bounds to the destination (``rows_f``) and to the
+    source (``rows_b``).
 
-    ``pf(u) = (hf(u) - hb(u)) / 2`` and ``pb = -pf``, so pf(u) + pb(u) is
-    constant (zero) everywhere and the two reduced searches terminate on the
-    plain bidirectional condition without losing optimality.
+    ``pf = (f - b) / 2`` and ``pb = -pf``, so pf + pb is constant (zero)
+    everywhere and the two reduced searches terminate on the plain
+    bidirectional condition without losing optimality.
     """
-
-    def pf(*args):
-        return 0.5 * (hf(*args) - hb(*args))
-
-    def pb(*args):
-        return -pf(*args)
-
-    return pf, pb
+    pf = [[0.5 * (f - b) for f, b in zip(row_f, row_b)] for row_f, row_b in zip(rows_f, rows_b)]
+    return pf, [[-p for p in row] for row in pf]

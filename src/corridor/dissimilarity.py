@@ -42,27 +42,25 @@ def cost_bar(opt_cost: float, max_diff: float) -> float:
 
 
 class Profile:
-    """The lateral profile of a path over its contiguous x-hull [lo, hi],
-    as a persistent structure.
+    """The lateral profile of a path, as a persistent structure.
 
     It holds the column ``x`` of the path's last vertex, the y sum ``ysum``
     and visit count ``n`` of the path's vertices there, and ``left`` and
     ``right``: the profiles that ended at the path's last visits to columns
-    ``x - 1`` and ``x + 1`` (None past the hull), which hold those columns'
-    final sums.  Consecutive vertices are at most one column apart, as on
-    every grid path, so extending a profile is O(1) and copies nothing.
-    The search engine's labels extend this class, so a label's profile
-    costs no extra object.
+    ``x - 1`` and ``x + 1`` (None past the path's x-hull), which hold those
+    columns' final sums.  Consecutive vertices are at most one column
+    apart, as on every grid path, so extending a profile is O(1) and copies
+    nothing.  The search engine's labels extend this class, so a label's
+    profile costs no extra object.
     """
 
-    __slots__ = ("x", "ysum", "n", "lo", "hi", "left", "right")
+    __slots__ = ("x", "ysum", "n", "left", "right")
 
     def __init__(self, base: Optional[Profile], x: int, y: float):
         """The profile of ``base`` extended by a vertex at (x, y); with no
         ``base``, the profile of that one vertex."""
         if base is None:
             prev = left = right = None
-            self.lo = self.hi = x
         else:
             step = x - base.x
             if step == 0:
@@ -75,7 +73,6 @@ class Profile:
                 left, right = prev.left if prev is not None else None, base
             else:
                 raise ValueError("consecutive path vertices must be at most one column apart")
-            self.lo, self.hi = min(base.lo, x), max(base.hi, x)
         self.x, self.left, self.right = x, left, right
         if prev is None:
             self.ysum, self.n = float(y), 1
@@ -90,33 +87,30 @@ class Profile:
             prof = Profile(prof, v.x, v.y)
         return prof
 
-    def means(self) -> list[float]:
-        """Mean y per column of the hull, from ``lo`` to ``hi``, walked from
-        the tip to the left and then to the right."""
+    def means(self) -> tuple[int, list[float]]:
+        """``(lo, means)``: the mean y per column of the x-hull from its first
+        column ``lo``, walked from the tip to the left and then to the right."""
         means = []
         p = self
         while p is not None:
             means.append(p.ysum / p.n)
             p = p.left
         means.reverse()
+        lo = self.x - len(means) + 1
         p = self.right
         while p is not None:
             means.append(p.ysum / p.n)
             p = p.right
-        return means
+        return lo, means
 
 
-def area_cells(a: Profile, b: Profile, stop: float = math.inf) -> float:
-    """Area between two profiles in grid cells: the sum of |mean gap| over
-    the union of their hulls, each profile held at its end values outside
-    its own hull.  Once the running sum reaches ``stop`` it is returned as
-    it stands, so ``area_cells(a, b, s) < s`` decides like the full sum."""
-    return area_of_means(a.lo, a.means(), b.lo, b.means(), stop)
-
-
-def area_of_means(a_lo: int, ma: list[float], b_lo: int, mb: list[float], stop: float = math.inf) -> float:
-    """:func:`area_cells` of two profiles given as their ``lo`` and
-    ``means()``, for a caller that compares one profile against many."""
+def area_cells(a: tuple[int, list[float]], b: tuple[int, list[float]], stop: float = math.inf) -> float:
+    """Area in grid cells between two profiles given as their ``means()``:
+    the sum of |mean gap| over the union of their hulls, each profile held
+    at its end values outside its own hull.  Once the running sum reaches
+    ``stop`` it is returned as it stands, so ``area_cells(a, b, s) < s``
+    decides like the full sum."""
+    (a_lo, ma), (b_lo, mb) = a, b
     na1, nb1 = len(ma) - 1, len(mb) - 1
     area = 0.0
     for x in range(min(a_lo, b_lo), max(a_lo + na1, b_lo + nb1) + 1):
@@ -138,8 +132,9 @@ def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
     qs, qe = q.vertices[0], q.vertices[-1]
     if (ps.x, ps.y) != (qs.x, qs.y) or (pe.x, pe.y) != (qe.x, qe.y):
         raise ValueError("endpoint mismatch: paths must share source and destination")
-    a, b = Profile.of_path(p.vertices), Profile.of_path(q.vertices)
-    ops = len(p.vertices) + len(q.vertices) + max(a.hi, b.hi) - min(a.lo, b.lo) + 1
+    a, b = Profile.of_path(p.vertices).means(), Profile.of_path(q.vertices).means()
+    columns = max(a[0] + len(a[1]), b[0] + len(b[1])) - min(a[0], b[0])
+    ops = len(p.vertices) + len(q.vertices) + columns
     area_m2 = area_cells(a, b) * cfg.dxy * cfg.dxy
     percent = 100.0 * area_m2 / (cfg.map_width * cfg.endpoint_distance)
     return percent, ops
@@ -185,13 +180,14 @@ class Decision:
 
 def accept(
     candidate: Path,
-    accepted: Sequence[Path],
+    accepted: list[Path],
     cfg: AreaConfig,
     k: int,
     max_diff: float,
     opt_cost: float,
 ) -> Decision:
-    """Decide a candidate's fate against a pairwise-dissimilar accepted set.
+    """Decide a candidate's fate against a pairwise-dissimilar accepted set,
+    apply it to ``accepted`` and return it.
 
     Too expensive (beyond ``max_diff`` percent of ``opt_cost``) is rejected
     outright.  Dissimilar to everything: added while there is room, otherwise
@@ -204,19 +200,11 @@ def accept(
     similar = [i for i, other in enumerate(accepted) if area_diff(candidate, other, cfg) < cfg.min_diff]
     where = place([p.total_cost for p in accepted], similar, candidate.total_cost, k)
     if isinstance(where, int):
+        accepted[where] = candidate
         return Decision(Outcome.REPLACE, where)
-    return Decision(Outcome(where))
-
-
-def apply_decision(candidate: Path, accepted: list[Path], decision: Decision) -> bool:
-    """Mutate ``accepted`` per the decision; True when the set changed."""
-    if decision.outcome is Outcome.ADD:
+    if where == "add":
         accepted.append(candidate)
-        return True
-    if decision.outcome is Outcome.REPLACE:
-        accepted[decision.index] = candidate
-        return True
-    return False
+    return Decision(Outcome(where))
 
 
 def pairwise_areas(paths: Sequence[Path], cfg: AreaConfig) -> list[list[float]]:
@@ -233,9 +221,8 @@ def pairwise_areas(paths: Sequence[Path], cfg: AreaConfig) -> list[list[float]]:
 
 def assert_pairwise_dissimilar(paths: Sequence[Path], cfg: AreaConfig) -> None:
     """Invariant check used after every accepted-set mutation."""
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            a = area_diff(paths[i], paths[j], cfg)
-            assert a >= cfg.min_diff - 1e-9, (
-                f"accepted paths {i} and {j} are only {a:.3f}% apart (min {cfg.min_diff}%)"
+    for i, row in enumerate(pairwise_areas(paths, cfg)):
+        for j in range(i + 1, len(row)):
+            assert row[j] >= cfg.min_diff - 1e-9, (
+                f"accepted paths {i} and {j} are only {row[j]:.3f}% apart (min {cfg.min_diff}%)"
             )

@@ -57,9 +57,6 @@ class HeightMask:
     def admits(self, x: int, y: int, z: int) -> bool:
         return self.z_lo[y, x] <= z <= self.z_hi[y, x]
 
-    def column(self, x: int, y: int) -> tuple[int, int]:
-        return int(self.z_lo[y, x]), int(self.z_hi[y, x])
-
 
 @dataclass(frozen=True)
 class GraphStats:
@@ -191,8 +188,11 @@ def simple_height_mask(grid: TerrainGrid, hm: float, r: int) -> HeightMask:
         raise ValueError("hm and r must be non-negative")
     z = np.asarray(grid.z, dtype=float)
     wmax, wmin = _window_extrema(z, r)
-    hi_elev = np.maximum(wmax, z + hm)
-    lo_elev = np.minimum(wmin, z - hm)
+    return _snapped(grid, np.minimum(wmin, z - hm), np.maximum(wmax, z + hm))
+
+
+def _snapped(grid: TerrainGrid, lo_elev: np.ndarray, hi_elev: np.ndarray) -> HeightMask:
+    """The band between two elevation fields, snapped outward to whole z levels."""
     z_hi = np.ceil(hi_elev / grid.dz - 1e-12).astype(np.int64)
     z_lo = np.floor(lo_elev / grid.dz + 1e-12).astype(np.int64)
     return HeightMask(z_lo=z_lo, z_hi=z_hi)
@@ -270,9 +270,7 @@ def expanding_height_mask(
             if z[cy, cx] > z_line + hi:
                 lo_elev[cy, cx] = min(lo_elev[cy, cx], z_line)
 
-    z_hi = np.ceil(hi_elev / grid.dz - 1e-12).astype(np.int64)
-    z_lo = np.floor(lo_elev / grid.dz + 1e-12).astype(np.int64)
-    return HeightMask(z_lo=z_lo, z_hi=z_hi)
+    return _snapped(grid, lo_elev, hi_elev)
 
 
 MASK_KINDS = ("none", "hr", "ehr")

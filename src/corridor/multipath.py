@@ -14,7 +14,7 @@ The algorithms:
             bracketed penalty-width adjustment;
 ``kspa``    one multi-label sweep keeping up to k mutually-dissimilar
             labels per augmented vertex;
-``bds``     consume meet events of the bidirectional engine, maintaining the
+``bds``     consume meet paths of the bidirectional engine, maintaining the
             accepted set with add/replace/reject rules;
 ``hybrid``  bidirectional multi-label growth (ka labels per vertex each side)
             with the same selection rules as ``bds``; ka=1 reduces to it.
@@ -30,9 +30,9 @@ from typing import Optional
 from .cost import CostModel, EdgeCoster, straight_line_rows
 from .dissimilarity import (
     AreaConfig,
+    Outcome,
     Profile,
     accept,
-    apply_decision,
     area_diff,
     assert_pairwise_dissimilar,
     cost_bar,
@@ -307,9 +307,8 @@ def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float
     for p in paths:
         # The centerline per map column, held at its end values outside the
         # path's x-hull and looked up once per priced edge.
-        profile = Profile.of_path(p.vertices)
-        means, last = profile.means(), profile.hi - profile.lo
-        ybar = [means[min(max(x - profile.lo, 0), last)] for x in range(grid.nx)]
+        lo, means = Profile.of_path(p.vertices).means()
+        ybar = [means[min(max(x - lo, 0), len(means) - 1)] for x in range(grid.nx)]
         peak = (width_percent / 100.0) * (p.total_cost / max(1, len(p.vertices) - 1))
         per_path.append((ybar, peak))
 
@@ -391,8 +390,7 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
             cand = Path(vertices=side.chain(label), total_cost=0.0).price(coster)
             if opt_cost is None:
                 opt_cost = cand.total_cost
-            decision = accept(cand, dst_paths, acfg, cfg.k, cfg.max_diff, opt_cost)
-            apply_decision(cand, dst_paths, decision)
+            accept(cand, dst_paths, acfg, cfg.k, cfg.max_diff, opt_cost)
             if len(dst_paths) >= cfg.k:
                 break
     # Every settle is one iteration.
@@ -405,7 +403,7 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
 
 
 def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: int) -> MultipathResult:
-    """Consume the meet events of a bidirectional engine with ``ka`` labels
+    """Consume the meet paths of a bidirectional engine with ``ka`` labels
     per state and side, keeping up to k paths by the add/replace/reject
     rules; a rejected candidate is never reconsidered.  Expansion stops once
     no future meet can price within the cost bar, or at the timeout or the
@@ -422,23 +420,22 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
     seen: set[tuple] = set()
     mu: Optional[float] = None
     iterations = 0
-    for event in engine.events():
+    for path in engine.events():
         iterations += 1
-        if mu is None or event.total < mu:
-            mu = event.total
+        if mu is None or path.total_cost < mu:
+            mu = path.total_cost
             engine.set_cutoff(cost_bar(mu, cfg.max_diff))
-        key = event.path.key()
+        key = path.key()
         if key in seen:
             continue
         seen.add(key)
-        decision = accept(event.path, accepted, acfg, cfg.k, cfg.max_diff, mu)
-        if apply_decision(event.path, accepted, decision):
+        if accept(path, accepted, acfg, cfg.k, cfg.max_diff, mu).outcome is not Outcome.REJECT:
             assert_pairwise_dissimilar(accepted, acfg)
     return _finalize(name, accepted, mu, cfg, acfg, stats, iterations, coster)
 
 
 def run_bds(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:
-    """Consume the meet events of the one-label bidirectional engine."""
+    """Consume the meet paths of the one-label bidirectional engine."""
     return _select_meets("bds", grid, model, mask, src, dst, cfg, 1)
 
 

@@ -4,7 +4,7 @@ Two kinds of sweep serve every search, driven by one settle loop that holds
 the deadline, the label cap and the counters.  A :class:`_Sweep` keeps one
 label per state in dicts: :func:`dijkstra` and :func:`astar` run one, and
 the :class:`BidiEngine` grows two towards each other (``bds``) and exposes
-settled meeting states as a stream of events.  A :class:`_LabelSide` keeps
+settled meeting states as a stream of paths.  A :class:`_LabelSide` keeps
 several mutually dissimilar labels per state: the engine grows two of them
 for ``hybrid``, and one on its own is the ``kspa`` sweep.  All of them
 
@@ -23,11 +23,11 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, ikeda_potentials, straight_line_rows
-from .dissimilarity import Profile, area_of_means, cost_bar, place
+from .dissimilarity import Profile, area_cells, cost_bar, place
 from .graph import (
     AugVertex,
     HeightMask,
@@ -45,12 +45,12 @@ EdgePenalty = Callable[[AugVertex, AugVertex], float]
 @dataclass
 class SearchStats:
     """Counters exported for benchmarking: settles and peak stored labels.
-    ``incomplete`` is set when a deadline or a label cap cut a search short."""
+    ``incomplete`` is set when a deadline or a label cap cut a search short,
+    and a list given as ``settle_keys`` receives every settled key."""
 
     expansions: int = 0
     peak_labels: int = 0
-    settle_keys: list = field(default_factory=list)
-    record_settles: bool = False
+    settle_keys: Optional[list] = None
     incomplete: bool = False
 
 
@@ -212,6 +212,7 @@ def _settles(front, stats: SearchStats, deadline: Optional[float], label_cap: Op
     """
     deadline = math.inf if deadline is None else deadline
     label_cap = math.inf if label_cap is None else label_cap
+    keys = stats.settle_keys
     while True:
         side = front.pick()
         if side is None:
@@ -227,8 +228,8 @@ def _settles(front, stats: SearchStats, deadline: Optional[float], label_cap: Op
         stats.expansions += 1
         if held > stats.peak_labels:
             stats.peak_labels = held
-        if stats.record_settles:
-            stats.settle_keys.append(key)
+        if keys is not None:
+            keys.append(key)
         yield side, key, state, item
         side.relax(item)
 
@@ -434,10 +435,8 @@ class _LabelSide:
             return
         label = _Label(cost, state, parent)
         if bucket:
-            stop, lo, means = self._stop_cells(state), label.lo, label.means()
-            similar = [
-                i for i, other in enumerate(bucket) if area_of_means(lo, means, other.lo, other.means(), stop) < stop
-            ]
+            stop, mine = self._stop_cells(state), label.means()
+            similar = [i for i, other in enumerate(bucket) if area_cells(mine, other.means(), stop) < stop]
             where = place([l.cost for l in bucket], similar, cost, self.cap)
             if where == "reject":
                 return
@@ -463,16 +462,8 @@ class _LabelSide:
         return states
 
 
-@dataclass(frozen=True)
-class MeetEvent:
-    """A through-path joining a state settled from both directions."""
-
-    total: float
-    path: Path
-
-
 class BidiEngine:
-    """Bidirectional search emitting every settled meeting pair as an event.
+    """Bidirectional search emitting every settled meeting pair as a path.
 
     Each direction is a :class:`_Sweep` when ``labels`` is 1, else a
     :class:`_LabelSide` keeping up to ``labels`` labels per state, whose
@@ -482,11 +473,12 @@ class BidiEngine:
     with states stored in reverse orientation (``flip_state``); a forward
     label with orientation (h, v) therefore pairs with the backward labels
     at (h+4 mod 8, -v) on the same position — other orientation pairs are
-    distinct meets.  Each settle yields one event per settled label at its
-    mate state; the event's path concatenates the two labels' chains.
+    distinct meets.  Each settle yields one unpriced :class:`Path` per
+    settled label at its mate state: the two labels' chains joined, with
+    the sum of their costs as ``total_cost``.
 
     A cutoff (settable at construction or any time via :meth:`set_cutoff`)
-    stops event production once both frontiers can no longer produce a meet
+    stops path production once both frontiers can no longer produce a meet
     at or below it.  The search also stops, and sets ``stats.incomplete``,
     when a settle finds ``deadline`` (a :func:`time.monotonic` time) passed
     or the two sides holding more than ``label_cap`` labels.
@@ -518,10 +510,7 @@ class BidiEngine:
         self._shift_f = self._shift_b = 0.0
         if use_ikeda:
             hf, hb = straight_line_rows(grid, model, dst), straight_line_rows(grid, model, src)
-            rows_f, rows_b = (
-                [[p(x, y) for x in range(grid.nx)] for y in range(grid.ny)]
-                for p in ikeda_potentials(lambda x, y: hf[y][x], lambda x, y: hb[y][x])
-            )
+            rows_f, rows_b = ikeda_potentials(hf, hb)
             # Keys carry potentials; a frontier key less the opposite
             # endpoint's term bounds the totals of the meets it can make.
             self._shift_f, self._shift_b = rows_f[dst[1]][dst[0]], rows_b[src[1]][src[0]]
@@ -536,7 +525,7 @@ class BidiEngine:
         self._cutoff = cutoff
 
     def _future_total_bound(self) -> float:
-        """No event produced after this point can have a smaller total."""
+        """No path produced after this point can cost less."""
         fronts = ((self._fwd, self._shift_f), (self._bwd, self._shift_b))
         return min((side.heap[0][0] - shift for side, shift in fronts if side.heap), default=math.inf)
 
@@ -555,8 +544,8 @@ class BidiEngine:
     def held(self) -> int:
         return self._fwd.held() + self._bwd.held()
 
-    def events(self) -> Iterator[MeetEvent]:
-        """Generate meet events until both frontiers pass the cutoff or drain,
+    def events(self) -> Iterator[Path]:
+        """Generate meet paths until both frontiers pass the cutoff or drain,
         or a limit stops the search."""
         fwd, bwd = self._fwd, self._bwd
         for side, _, state, item in _settles(self, self.stats, self._deadline, self._label_cap):
@@ -565,13 +554,12 @@ class BidiEngine:
                 f, b = (item, mate) if forward else (mate, item)
                 total = fwd.cost(f) + bwd.cost(b)
                 if total <= self._cutoff_bar():
-                    yield self._event(f, b, total)
+                    yield self._meet(f, b, total)
 
-    def _event(self, f, b, total: float) -> MeetEvent:
+    def _meet(self, f, b, total: float) -> Path:
         back = self._bwd.chain(b)
         back.pop()
-        vertices = self._fwd.chain(f) + [flip_state(s) for s in reversed(back)]
-        return MeetEvent(total=total, path=Path(vertices=vertices, total_cost=total))
+        return Path(vertices=self._fwd.chain(f) + [flip_state(s) for s in reversed(back)], total_cost=total)
 
 
 # The engine's constructor is the public entry point; iterate ``events()``.

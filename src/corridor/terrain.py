@@ -157,29 +157,8 @@ DIR8: tuple[tuple[int, int], ...] = (
 _SQRT2 = math.sqrt(2.0)
 
 
-def max_grade(grid: TerrainGrid, i: int, j: int) -> float:
-    """Steepest |rise|/run toward any in-grid neighbor of vertex (i, j).
-
-    Orthogonal runs are ``dxy``, diagonal runs ``dxy * sqrt(2)``.  Boundary
-    vertices use only the directions that stay inside the grid.
-    """
-    if not (0 <= i < grid.nx and 0 <= j < grid.ny):
-        raise IndexError(f"vertex ({i}, {j}) outside grid")
-    z0 = float(grid.z[j, i])
-    worst = 0.0
-    for h, (dx, dy) in enumerate(DIR8):
-        x, y = i + dx, j + dy
-        if not (0 <= x < grid.nx and 0 <= y < grid.ny):
-            continue
-        run = grid.dxy * (_SQRT2 if h % 2 else 1.0)
-        g = abs(float(grid.z[y, x]) - z0) / run
-        if g > worst:
-            worst = g
-    return worst
-
-
-def classify(grid: TerrainGrid) -> TerrainClassBreakdown:
-    """Per-vertex steepest-grade classes: A if <= 10%, B strictly between, C if >= 20%."""
+def _steepest_grades(grid: TerrainGrid) -> np.ndarray:
+    """:func:`max_grade` of every vertex, as an array of shape (ny, nx)."""
     m = np.zeros((grid.ny, grid.nx), dtype=float)
     z = grid.z
     for h, (dx, dy) in enumerate(DIR8):
@@ -190,6 +169,23 @@ def classify(grid: TerrainGrid) -> TerrainClassBreakdown:
         yt = slice(max(0, dy), grid.ny - max(0, -dy))
         g = np.abs(z[yt, xt] - z[ys, xs]) / run
         np.maximum(m[ys, xs], g, out=m[ys, xs])
+    return m
+
+
+def max_grade(grid: TerrainGrid, i: int, j: int) -> float:
+    """Steepest |rise|/run toward any in-grid neighbor of vertex (i, j).
+
+    Orthogonal runs are ``dxy``, diagonal runs ``dxy * sqrt(2)``.  Boundary
+    vertices use only the directions that stay inside the grid.
+    """
+    if not (0 <= i < grid.nx and 0 <= j < grid.ny):
+        raise IndexError(f"vertex ({i}, {j}) outside grid")
+    return float(_steepest_grades(grid)[j, i])
+
+
+def classify(grid: TerrainGrid) -> TerrainClassBreakdown:
+    """Per-vertex steepest-grade classes: A if <= 10%, B strictly between, C if >= 20%."""
+    m = _steepest_grades(grid)
     n = m.size
     frac_a = float(np.count_nonzero(m <= 0.10)) / n
     frac_c = float(np.count_nonzero(m >= 0.20)) / n

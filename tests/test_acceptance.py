@@ -73,8 +73,8 @@ def test_c02_oracle_equivalence(model):
         src, dst = (0, 5), (19, 5)
         opt = dijkstra(g, model, mask, src, dst).total_cost
         a = astar(g, model, mask, src, dst).total_cost
-        b = min(ev.total for ev in bidi_engine(g, model, mask, src, dst, cutoff=opt).events())
-        bi = min(ev.total for ev in
+        b = min(p.total_cost for p in bidi_engine(g, model, mask, src, dst, cutoff=opt).events())
+        bi = min(p.total_cost for p in
                  bidi_engine(g, model, mask, src, dst, cutoff=opt, use_ikeda=True).events())
         for other in (a, b, bi):
             ok &= abs(other - opt) <= 1e-9 * max(1.0, opt)

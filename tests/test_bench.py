@@ -50,6 +50,27 @@ class TestSolverSpec:
         with pytest.raises(ValueError, match="unknown part"):
             make_solver(spec)
 
+    @pytest.mark.parametrize("spec, why", [
+        ("bds+astar+astar", "repeated"),
+        ("bds+hr+hr", "repeated"),
+        ("bds+hr+ehr", "both masks"),
+        ("bsd+astar", "unknown algorithm 'bsd'"),
+    ])
+    def test_spec_that_cannot_run_under_its_name_rejected(self, spec, why):
+        # bds+hr+ehr used to run EHR only and file the record as hr=0, ehr=1.
+        with pytest.raises(ValueError, match=why):
+            make_solver(spec)
+
+    def test_cli_reports_unknown_algorithm(self, tmp_path, capsys):
+        # This config used to exit 0 with a ValueError recorded in every bsd cell.
+        from corridor.cli import main
+
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"maps = synth:1:8:6:2\nsolvers = bsd+astar,bds+hr+ehr\nout_dir = {tmp_path}\n")
+        assert main(["bench", str(cfg)]) == 1
+        assert "unknown algorithm 'bsd'" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_cli_reports_unknown_part(self, tmp_path, capsys):
         from corridor.cli import main
 

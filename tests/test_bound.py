@@ -94,7 +94,7 @@ def test_vector_pricer_matches_scalar(inst):
 @given(small_instances())
 def test_astar_equals_dijkstra_across_the_switch(inst):
     grid, model, mask, src, dst = inst
-    sd, sa = SearchStats(), SearchStats(record_settles=True)
+    sd, sa = SearchStats(), SearchStats(settle_keys=[])
     pd = dijkstra(grid, model, mask, src, dst, stats=sd)
     pa = astar(grid, model, mask, src, dst, stats=sa)
     assert (pa is None) == (pd is None)
@@ -113,7 +113,7 @@ def test_switch_on_relief(kind, model):
         mask = simple_height_mask(grid, 1.0, 3)
     else:
         mask = expanding_height_mask(grid, 0.5, model.max_grade, src=src, dst=dst)
-    sd, sa = SearchStats(), SearchStats(record_settles=True)
+    sd, sa = SearchStats(), SearchStats(settle_keys=[])
     pd = dijkstra(grid, model, mask, src, dst, stats=sd)
     pa = astar(grid, model, mask, src, dst, stats=sa)
     assert sa.expansions > grid.nx * grid.ny, "the query never reached the switch"

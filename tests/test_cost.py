@@ -77,6 +77,12 @@ class TestEdgeCost:
             assert coster(u, w) == pytest.approx(direct, rel=1e-12)
             assert coster(w, u) == coster(u, w)
 
+    def test_coster_rejects_a_non_unit_move(self):
+        coster = EdgeCoster(synth_terrain(5, 8, 6, 5.0), CostModel())
+        for w in (AugVertex(2, 0, 0, 0, 0), AugVertex(0, 0, 1, 0, 0)):
+            with pytest.raises(ValueError, match="unit grid move"):
+                coster(AugVertex(0, 0, 0, 0, 0), w)
+
     def test_fresh_costers_agree_in_either_direction(self):
         # Computed from whichever end was asked first, this move priced
         # 23.29070265370882 forwards and 23.290702653708877 backwards.
@@ -106,19 +112,18 @@ class TestHeuristic:
 
 class TestIkedaPotentials:
     def test_symmetric_heuristics_vanish(self):
-        h = lambda x, y: 7.5
+        h = [[7.5] * 5 for _ in range(6)]
         pf, pb = ikeda_potentials(h, h)
-        assert pf(3, 4) == 0.0 and pb(3, 4) == 0.0
+        assert pf[4][3] == 0.0 and pb[4][3] == 0.0
 
     def test_sum_is_zero(self):
         m = CostModel(paving_rate=1.5)
-        hf = lambda x, y: astar_heuristic(m, (x, y), (100, 0))
-        hb = lambda x, y: astar_heuristic(m, (x, y), (0, 0))
+        points = np.random.default_rng(2).uniform(0, 100, (25, 2))
+        hf = [[astar_heuristic(m, (x, y), (100, 0)) for x, y in points]]
+        hb = [[astar_heuristic(m, (x, y), (0, 0)) for x, y in points]]
         pf, pb = ikeda_potentials(hf, hb)
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            x, y = rng.uniform(0, 100, 2)
-            assert pf(x, y) + pb(x, y) == pytest.approx(0.0, abs=1e-12)
+        for f, b in zip(pf[0], pb[0]):
+            assert f + b == pytest.approx(0.0, abs=1e-12)
 
     def test_reduced_weights_non_negative(self):
         g = synth_terrain(6, 10, 7, 4.0)
@@ -126,8 +131,8 @@ class TestIkedaPotentials:
         m = CostModel()
         coster = EdgeCoster(g, m)
         dxy = g.dxy
-        hf = lambda x, y: astar_heuristic(m, (x * dxy, y * dxy), (90.0, 30.0))
-        hb = lambda x, y: astar_heuristic(m, (x * dxy, y * dxy), (0.0, 30.0))
+        hf = [[astar_heuristic(m, (x * dxy, y * dxy), (90.0, 30.0)) for x in range(10)] for y in range(7)]
+        hb = [[astar_heuristic(m, (x * dxy, y * dxy), (0.0, 30.0)) for x in range(10)] for y in range(7)]
         pf, _ = ikeda_potentials(hf, hb)
         from corridor.graph import successors3do
         rng = np.random.default_rng(3)
@@ -136,5 +141,5 @@ class TestIkedaPotentials:
             lo, hi = int(mask.z_lo[y, x]), int(mask.z_hi[y, x])
             u = AugVertex(x, y, int(rng.integers(lo, hi + 1)), int(rng.integers(0, 8)), 0)
             for w in successors3do(g, u, mask):
-                reduced = coster(u, w) - pf(u.x, u.y) + pf(w.x, w.y)
+                reduced = coster(u, w) - pf[u.y][u.x] + pf[w.y][w.x]
                 assert reduced >= -1e-9

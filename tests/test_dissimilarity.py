@@ -3,7 +3,6 @@ import pytest
 from corridor import AreaConfig, accept, area_diff
 from corridor.dissimilarity import (
     Outcome,
-    apply_decision,
     area_diff_with_ops,
     assert_pairwise_dissimilar,
     pairwise_areas,
@@ -96,8 +95,9 @@ class TestAccept:
         return station_path(pts, cost)
 
     def test_empty_adds(self):
-        d = accept(self.far(0, 100.0), [], self.cfg, 3, 10.0, 100.0)
-        assert d.outcome is Outcome.ADD
+        kept, cand = [], self.far(0, 100.0)
+        d = accept(cand, kept, self.cfg, 3, 10.0, 100.0)
+        assert d.outcome is Outcome.ADD and kept == [cand]
 
     def test_too_expensive_rejected(self):
         d = accept(self.far(9, 111.0), [self.far(0, 100.0)], self.cfg, 3, 10.0, 100.0)
@@ -108,21 +108,20 @@ class TestAccept:
         cand = self.far(8.8, 104.0)  # close to the second, cheaper
         d = accept(cand, kept, self.cfg, 3, 10.0, 100.0)
         assert d.outcome is Outcome.REPLACE and d.index == 1
-        assert apply_decision(cand, kept, d)
+        assert kept[1] is cand
         assert_pairwise_dissimilar(kept, self.cfg)
 
     def test_similar_to_two_rejected(self):
         kept = [self.far(0, 100.0), self.far(2, 101.0)]
         cand = self.far(1, 100.5)  # within min_diff of both
         d = accept(cand, kept, self.cfg, 3, 10.0, 100.0)
-        assert d.outcome is Outcome.REJECT
+        assert d.outcome is Outcome.REJECT and cand not in kept and len(kept) == 2
 
     def test_full_set_replaces_most_expensive(self):
         kept = [self.far(0, 100.0), self.far(4, 108.0), self.far(8, 106.0)]
         cand = self.far(-4, 103.0)  # dissimilar to all three, cheaper than max
         d = accept(cand, kept, self.cfg, 3, 10.0, 100.0)
         assert d.outcome is Outcome.REPLACE and d.index == 1
-        apply_decision(cand, kept, d)
         assert max(p.total_cost for p in kept) == pytest.approx(106.0)
 
     def test_dissimilar_full_but_pricier_rejected(self):

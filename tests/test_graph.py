@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from corridor import TerrainGrid, expanding_height_mask, graph_stats, simple_height_mask
 from corridor.graph import (
@@ -11,6 +12,8 @@ from corridor.graph import (
     successors3do,
 )
 from corridor.terrain import synth_terrain
+
+from strategies import small_instances
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,17 @@ class TestEdgeSymmetry:
         for u in self._admissible_states(box, box_mask):
             for w in rev_successors3do(box, u, box_mask):
                 assert flip_state(u) in successors3do(box, flip_state(w), box_mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_instances())
+    def test_bijection_on_random_masks(self, inst):
+        # Every forward move u -> w is the reversed move flip(w) -> flip(u),
+        # and the other way round, over every state of the band.
+        grid, _, mask, _, _ = inst
+        states = list(self._admissible_states(grid, mask))
+        forward = {(u, w) for u in states for w in successors3do(grid, u, mask)}
+        mirrored = {(flip_state(w), flip_state(u)) for u in states for w in rev_successors3do(grid, u, mask)}
+        assert forward == mirrored
 
     def test_flip_involution(self):
         u = AugVertex(3, 4, 2, 6, -1)

@@ -70,7 +70,7 @@ def test_held_labels_keep_the_side_rules(inst, cap, min_diff, max_diff, keyed, f
             assert label.means() == Profile.of_path(side.chain(label)).means()
         stop = side._stop_cells(state)
         for a, b in itertools.combinations(bucket, 2):
-            assert area_cells(a, b, stop) >= stop
+            assert area_cells(a.means(), b.means(), stop) >= stop
 
 
 @settings(max_examples=40, deadline=None)

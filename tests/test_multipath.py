@@ -276,8 +276,8 @@ class TestBidirectionalSelection:
         eng = bidi_engine(g, lane_model, mask, src, dst,
                           cutoff=1.10 * r.paths[0].total_cost)
         crossing = False
-        for ev in eng.events():
-            prof = station_means(ev.path)
+        for path in eng.events():
+            prof = station_means(path)
             diffs = [prof[x] - ref[x] for x in prof if x in ref]
             if min(diffs) < -0.5 and max(diffs) > 0.5:
                 crossing = True

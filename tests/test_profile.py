@@ -13,7 +13,6 @@ from corridor.dissimilarity import (
     AreaConfig,
     Profile,
     accept,
-    apply_decision,
     area_cells,
     area_diff,
     assert_pairwise_dissimilar,
@@ -115,9 +114,10 @@ def test_extended_profile_equals_whole_path_profile(points):
     for x, y in points:
         ys.setdefault(x, []).append(y)
     expected = [(sum(ys[x]), len(ys[x])) for x in sorted(ys)]
-    assert (grown.lo, grown.hi) == (whole.lo, whole.hi) == (min(ys), max(ys))
+    lo, means = grown.means()
+    assert (lo, lo + len(means) - 1) == (min(ys), max(ys))
     assert columns(grown) == columns(whole) == expected
-    assert grown.means() == whole.means() == [s / n for s, n in expected]
+    assert grown.means() == whole.means() == (lo, [s / n for s, n in expected])
 
 
 def test_a_long_walk_keeps_every_profile_small():
@@ -131,7 +131,7 @@ def test_a_long_walk_keeps_every_profile_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(profiles[-1].means()) == 2000
+    assert profiles[-1].means()[0] == 0 and len(profiles[-1].means()[1]) == 2000
     assert peak < 2_000_000
 
 
@@ -146,7 +146,7 @@ def test_area_diff_equals_dict_reference(pair):
 @settings(max_examples=200, deadline=None)
 @given(path_pairs(), st.floats(0.0, 2.0), st.booleans())
 def test_early_stop_decides_like_the_full_integral(pair, share, at_full):
-    a, b = (Profile.of_path(p.vertices) for p in pair)
+    a, b = (Profile.of_path(p.vertices).means() for p in pair)
     full = area_cells(a, b)
     stop = full if at_full else share * full
     stopped = area_cells(a, b, stop)
@@ -187,7 +187,7 @@ def test_accepted_set_stays_dissimilar_and_within_the_bar(candidates):
     accepted = []
     for y, cost in candidates:
         cand = to_path([(0, 0)] + [(x, y) for x in range(1, 20)] + [(20, 0)], cost)
-        apply_decision(cand, accepted, accept(cand, accepted, cfg, 3, 10.0, 100.0))
+        accept(cand, accepted, cfg, 3, 10.0, 100.0)
         assert_pairwise_dissimilar(accepted, cfg)
         assert len(accepted) <= 3
         assert all(p.total_cost <= cost_bar(100.0, 10.0) for p in accepted)
@@ -202,7 +202,7 @@ def test_mean_is_held_at_the_hull_ends():
     # ipa's corridor penalty peaks on a path's per-column means, held at the
     # end values outside the path's x-hull.
     path = to_path([(3, 1), (4, 2), (4, 4), (5, 7)])
-    assert Profile.of_path(path.vertices).means() == [1.0, 3.0, 7.0]
+    assert Profile.of_path(path.vertices).means() == (3, [1.0, 3.0, 7.0])
     penalty = _corridor_penalty(synth_terrain(0, 10, 9, 0.0), [path], 50.0)
     at = [penalty(None, AugVertex(x, y, 0, 0, 0)) for x, y in ((0, 1), (3, 1), (4, 3), (5, 7), (9, 7))]
     assert at == [at[0]] * 5 and at[0] > penalty(None, AugVertex(0, 2, 0, 0, 0))

@@ -118,7 +118,7 @@ class TestDijkstra:
 
     def test_settle_order_monotone(self, model):
         grid, mask, src, dst = random_instance(3)
-        stats = SearchStats(record_settles=True)
+        stats = SearchStats(settle_keys=[])
         dijkstra(grid, model, mask, src, dst, stats=stats)
         keys = stats.settle_keys
         assert all(a <= b + 1e-12 for a, b in zip(keys, keys[1:]))
@@ -160,7 +160,7 @@ class TestAstar:
 
     def test_settle_order_monotone_on_reduced_keys(self, model):
         grid, mask, src, dst = random_instance(5)
-        stats = SearchStats(record_settles=True)
+        stats = SearchStats(settle_keys=[])
         astar(grid, model, mask, src, dst, stats=stats)
         keys = stats.settle_keys
         assert all(a <= b + 1e-12 for a, b in zip(keys, keys[1:]))
@@ -172,7 +172,7 @@ class TestBidiEngine:
             grid, mask, src, dst = random_instance(seed)
             opt = dijkstra(grid, model, mask, src, dst).total_cost
             eng = bidi_engine(grid, model, mask, src, dst, cutoff=opt)
-            totals = [ev.total for ev in eng.events()]
+            totals = [p.total_cost for p in eng.events()]
             assert totals, "no meets produced"
             assert min(totals) == pytest.approx(opt, rel=1e-9)
             # cutoff semantics: nothing beyond the bar is emitted
@@ -183,7 +183,7 @@ class TestBidiEngine:
             grid, mask, src, dst = random_instance(seed)
             opt = dijkstra(grid, model, mask, src, dst).total_cost
             eng = bidi_engine(grid, model, mask, src, dst, cutoff=opt, use_ikeda=True)
-            totals = [ev.total for ev in eng.events()]
+            totals = [p.total_cost for p in eng.events()]
             assert totals and min(totals) == pytest.approx(opt, rel=1e-9)
 
     def test_event_paths_are_valid(self, model):
@@ -192,11 +192,12 @@ class TestBidiEngine:
         eng = bidi_engine(grid, model, mask, src, dst, cutoff=1.05 * opt)
         coster = EdgeCoster(grid, model)
         n = 0
-        for ev in eng.events():
-            ev.path.price(coster)
-            ev.path.validate(grid, model, mask)
-            assert ev.path.total_cost == pytest.approx(ev.total, rel=1e-9)
-            assert ev.path.vertices[0].x == src[0] and ev.path.vertices[-1].x == dst[0]
+        for path in eng.events():
+            total = path.total_cost
+            path.price(coster)
+            path.validate(grid, model, mask)
+            assert path.total_cost == pytest.approx(total, rel=1e-9)
+            assert path.vertices[0].x == src[0] and path.vertices[-1].x == dst[0]
             n += 1
             if n > 200:
                 break
@@ -209,8 +210,8 @@ class TestBidiEngine:
         eng = bidi_engine(g, model, None, src, dst, cutoff=1.10 * opt)
         lateral = 0
         straight = 0
-        for ev in eng.events():
-            ys = [v.y for v in ev.path.vertices]
+        for path in eng.events():
+            ys = [v.y for v in path.vertices]
             if max(abs(y - 4) for y in ys) >= 3:
                 lateral += 1
             if all(y == 4 for y in ys):

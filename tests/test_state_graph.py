@@ -56,7 +56,7 @@ def test_engines_match_the_state_graph_oracle(inst, use_ikeda):
     got = [math.inf if p is None else p.total_cost for p in found]
     # The backward side of the engine runs the reversed graph.
     events = bidi_engine(grid, model, mask, src, dst, use_ikeda=use_ikeda).events()
-    got.append(min((ev.total for ev in events), default=math.inf))
+    got.append(min((p.total_cost for p in events), default=math.inf))
     if math.isinf(want):
         assert got == [math.inf] * 3
     else:

@@ -12,7 +12,7 @@ from corridor import (
     save_grid,
     synth_terrain,
 )
-from corridor.terrain import GridFormatError
+from corridor.terrain import DIR8, GridFormatError
 
 
 def write(tmp_path, text):
@@ -104,6 +104,22 @@ class TestMaxGrade:
         g = TerrainGrid(nx=2, ny=2, dxy=10, dz=1, z=np.zeros((2, 2)))
         with pytest.raises(IndexError):
             max_grade(g, 2, 0)
+
+    def test_equals_the_scalar_loop(self):
+        # The per-vertex loop max_grade used to run, kept as the reference.
+        def scalar(g, i, j):
+            worst = 0.0
+            for h, (dx, dy) in enumerate(DIR8):
+                x, y = i + dx, j + dy
+                if 0 <= x < g.nx and 0 <= y < g.ny:
+                    run = g.dxy * (math.sqrt(2.0) if h % 2 else 1.0)
+                    worst = max(worst, abs(float(g.z[y, x]) - float(g.z[j, i])) / run)
+            return worst
+
+        g = synth_terrain(4, 9, 6, 30.0)
+        for j in range(g.ny):
+            for i in range(g.nx):
+                assert max_grade(g, i, j) == scalar(g, i, j)
 
 
 class TestClassify:
