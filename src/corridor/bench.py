@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 from .cost import CostModel
@@ -228,30 +228,24 @@ def profile(
 # CSV serialization (plot-ready; parsed back for round-trip checks)
 # ---------------------------------------------------------------------------
 
-_COLUMNS = [
-    "map_id", "dim_x", "dim_y", "dim_z", "frac_a", "frac_b", "frac_c",
-    "solver", "algorithm", "astar", "hr", "ehr", "wall_time",
-    "expansions", "peak_labels", "solved", "path_costs", "pairwise_areas", "error",
-]
+# Each field type's CSV text and how it reads back.  A column the file leaves
+# out (wall_time, in deterministic mode) reads as the empty string.
+_CODECS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": (repr, lambda s: float(s or 0.0)),
+    "bool": (lambda v: "1" if v else "0", lambda s: s == "1"),
+    "tuple[float, ...]": (lambda v: ";".join(map(repr, v)), lambda s: tuple(float(x) for x in s.split(";") if x)),
+}
 
 
 def records_to_csv(records: Sequence[ExperimentRecord], path, include_wall_time: bool = True) -> None:
-    cols = [c for c in _COLUMNS if include_wall_time or c != "wall_time"]
+    """One column per :class:`ExperimentRecord` field, in field order."""
+    cols = [f for f in fields(ExperimentRecord) if include_wall_time or f.name != "wall_time"]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(f.name for f in cols) + "\n")
         for rec in records:
-            row = []
-            for c in cols:
-                v = getattr(rec, c)
-                if isinstance(v, tuple):
-                    row.append(";".join(repr(x) for x in v))
-                elif isinstance(v, bool):
-                    row.append("1" if v else "0")
-                elif isinstance(v, float):
-                    row.append(repr(v))
-                else:
-                    row.append(str(v))
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(_CODECS[f.type][0](getattr(rec, f.name)) for f in cols) + "\n")
 
 
 def records_from_csv(path) -> list[ExperimentRecord]:
@@ -262,18 +256,7 @@ def records_from_csv(path) -> list[ExperimentRecord]:
     for ln in lines[1:]:
         raw = dict(zip(header, ln.split(",")))
         records.append(ExperimentRecord(
-            map_id=raw["map_id"],
-            dim_x=int(raw["dim_x"]), dim_y=int(raw["dim_y"]), dim_z=int(raw["dim_z"]),
-            frac_a=float(raw["frac_a"]), frac_b=float(raw["frac_b"]), frac_c=float(raw["frac_c"]),
-            solver=raw["solver"], algorithm=raw["algorithm"],
-            astar=raw["astar"] == "1", hr=raw["hr"] == "1", ehr=raw["ehr"] == "1",
-            wall_time=float(raw.get("wall_time", 0.0) or 0.0),
-            expansions=int(raw["expansions"]), peak_labels=int(raw["peak_labels"]),
-            solved=raw["solved"] == "1",
-            path_costs=tuple(float(x) for x in raw["path_costs"].split(";") if x),
-            pairwise_areas=tuple(float(x) for x in raw["pairwise_areas"].split(";") if x),
-            error=raw.get("error", ""),
-        ))
+            **{f.name: _CODECS[f.type][1](raw.get(f.name, "")) for f in fields(ExperimentRecord)}))
     return records
 
 

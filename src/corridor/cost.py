@@ -32,10 +32,13 @@ class CostModel:
     max_grade: float = 0.10
 
     def __post_init__(self):
-        if min(self.paving_rate, self.cut_rate, self.fill_rate) < 0:
-            raise ValueError("rates must be non-negative")
-        if self.road_width <= 0:
-            raise ValueError("road width must be positive")
+        # Written so that NaN fails each check.
+        if not all(0 <= rate < math.inf for rate in (self.paving_rate, self.cut_rate, self.fill_rate)):
+            raise ValueError("rates must be non-negative and finite")
+        if not 0 < self.road_width < math.inf:
+            raise ValueError("road width must be positive and finite")
+        if math.isnan(self.max_grade):
+            raise ValueError("max_grade must not be NaN")
 
 
 def edge_cost(model: CostModel, edge: tuple[Point3, Point3], grid: TerrainGrid) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     from .search import Path
@@ -29,9 +29,10 @@ class AreaConfig:
     dxy: float = 10.0
 
     def __post_init__(self):
-        if self.min_diff < 0:
+        # Written so that NaN fails each check.
+        if not self.min_diff >= 0:
             raise ValueError("min_diff must be non-negative")
-        if self.map_width <= 0 or self.endpoint_distance <= 0 or self.dxy <= 0:
+        if not all(v > 0 for v in (self.map_width, self.endpoint_distance, self.dxy)):
             raise ValueError("map_width, endpoint_distance and dxy must be positive")
 
 
@@ -145,27 +146,6 @@ def area_diff(p: Path, q: Path, cfg: AreaConfig) -> float:
     return area_diff_with_ops(p, q, cfg)[0]
 
 
-def place(costs: Sequence[float], similar: Sequence[int], cost: float, room: int) -> Union[int, str]:
-    """Where a candidate of ``cost`` goes among members of ``costs``, of
-    which those at the indices ``similar`` are too similar to it.
-
-    Dissimilar to every member: ``"add"`` while fewer than ``room`` members
-    are kept, otherwise the index of the most expensive member (the last
-    one on a tie) if the candidate is cheaper.  Similar to exactly one
-    member: that member's index if the candidate is cheaper.  Anything else
-    is ``"reject"``: no single replacement could restore pairwise
-    dissimilarity.
-    """
-    if not similar:
-        if len(costs) < room:
-            return "add"
-        worst = max(range(len(costs)), key=lambda i: (costs[i], i))
-        return worst if cost < costs[worst] else "reject"
-    if len(similar) == 1 and cost < costs[similar[0]]:
-        return similar[0]
-    return "reject"
-
-
 class Outcome(Enum):
     ADD = "add"
     REPLACE = "replace"
@@ -176,6 +156,32 @@ class Outcome(Enum):
 class Decision:
     outcome: Outcome
     index: Optional[int] = None
+
+
+# The two decisions that name no member are shared: the multi-label side
+# places every label it generates.
+ADD = Decision(Outcome.ADD)
+REJECT = Decision(Outcome.REJECT)
+
+
+def place(costs: Sequence[float], similar: Sequence[int], cost: float, room: int) -> Decision:
+    """Where a candidate of ``cost`` goes among members of ``costs``, of
+    which those at the indices ``similar`` are too similar to it.
+
+    Dissimilar to every member: ``ADD`` while fewer than ``room`` members
+    are kept, otherwise it replaces the most expensive member (the last one
+    on a tie) if the candidate is cheaper.  Similar to exactly one member:
+    it replaces that member if the candidate is cheaper.  Anything else is
+    ``REJECT``: no single replacement could restore pairwise dissimilarity.
+    """
+    if not similar:
+        if len(costs) < room:
+            return ADD
+        worst = max(range(len(costs)), key=lambda i: (costs[i], i))
+        return Decision(Outcome.REPLACE, worst) if cost < costs[worst] else REJECT
+    if len(similar) == 1 and cost < costs[similar[0]]:
+        return Decision(Outcome.REPLACE, similar[0])
+    return REJECT
 
 
 def accept(
@@ -196,15 +202,14 @@ def accept(
     no single replacement could restore pairwise dissimilarity.
     """
     if candidate.total_cost > cost_bar(opt_cost, max_diff):
-        return Decision(Outcome.REJECT)
+        return REJECT
     similar = [i for i, other in enumerate(accepted) if area_diff(candidate, other, cfg) < cfg.min_diff]
-    where = place([p.total_cost for p in accepted], similar, candidate.total_cost, k)
-    if isinstance(where, int):
-        accepted[where] = candidate
-        return Decision(Outcome.REPLACE, where)
-    if where == "add":
+    decision = place([p.total_cost for p in accepted], similar, candidate.total_cost, k)
+    if decision is ADD:
         accepted.append(candidate)
-    return Decision(Outcome(where))
+    elif decision is not REJECT:
+        accepted[decision.index] = candidate
+    return decision
 
 
 def pairwise_areas(paths: Sequence[Path], cfg: AreaConfig) -> list[list[float]]:

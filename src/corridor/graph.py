@@ -252,8 +252,8 @@ def expanding_height_mask(
                     z_base, z_top = zb, za
                 ramp_m = (z_top - z_base) / max_grade
                 rad = int(math.ceil(ramp_m / grid.dxy))
-                _raise_within(hi_elev, low_xy, rad, z_top + hi, grid.dxy, ramp_m)
-                _lower_within(lo_elev, high_xy, rad, z_base - hi, grid.dxy, ramp_m)
+                _clamp_within(hi_elev, low_xy, rad, z_top + hi, grid.dxy, ramp_m, True)
+                _clamp_within(lo_elev, high_xy, rad, z_base - hi, grid.dxy, ramp_m, False)
 
     # Rule 2: admit the straight source-destination line through blocking ridges.
     if src is not None and dst is not None:
@@ -291,24 +291,17 @@ def height_mask(grid: TerrainGrid, kind: str, hm: float, r: int, hi: float, max_
     raise ValueError(f"unknown mask kind {kind!r}")
 
 
-def _raise_within(hi_elev, center, rad, target, dxy, ramp_m):
+def _clamp_within(elev, center, rad, target, dxy, ramp_m, up: bool):
+    """Raise (``up``) or lower every cell of ``elev`` within ``ramp_m``
+    meters of ``center`` to ``target``; cells already past it stay."""
     cx, cy = center
-    ny, nx = hi_elev.shape
+    ny, nx = elev.shape
     for y in range(max(0, cy - rad), min(ny, cy + rad + 1)):
+        row = elev[y]
         for x in range(max(0, cx - rad), min(nx, cx + rad + 1)):
             if math.hypot(x - cx, y - cy) * dxy <= ramp_m:
-                if hi_elev[y, x] < target:
-                    hi_elev[y, x] = target
-
-
-def _lower_within(lo_elev, center, rad, target, dxy, ramp_m):
-    cx, cy = center
-    ny, nx = lo_elev.shape
-    for y in range(max(0, cy - rad), min(ny, cy + rad + 1)):
-        for x in range(max(0, cx - rad), min(nx, cx + rad + 1)):
-            if math.hypot(x - cx, y - cy) * dxy <= ramp_m:
-                if lo_elev[y, x] > target:
-                    lo_elev[y, x] = target
+                if (row[x] < target) if up else (row[x] > target):
+                    row[x] = target
 
 
 def graph_stats(

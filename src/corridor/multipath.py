@@ -69,12 +69,17 @@ class MultipathConfig:
     label_cap: int = 2_000_000
 
     def __post_init__(self):
+        # Written so that NaN fails each check.
         if self.k <= 1:
             raise ValueError("k must exceed 1")
-        if self.max_diff < 0:
+        if not self.min_diff >= 0:
+            raise ValueError("min_diff must be >= 0")
+        if not self.max_diff >= 0:
             raise ValueError("max_diff must be >= 0")
-        if self.penalty_width <= 0:
+        if not self.penalty_width > 0:
             raise ValueError("penalty_width must be positive")
+        if math.isnan(self.penalty_max) or math.isnan(self.timeout):
+            raise ValueError("penalty_max and timeout must not be NaN")
         if self.ka < 1:
             raise ValueError("ka must be >= 1")
 
@@ -126,55 +131,58 @@ def _lateral_cells(grid: TerrainGrid, head: AugVertex, w: int) -> list[list[tupl
     return sides
 
 
-def _area_config(grid: TerrainGrid, src, dst, min_diff: float) -> AreaConfig:
-    d = math.hypot((dst[0] - src[0]) * grid.dxy, (dst[1] - src[1]) * grid.dxy)
-    return AreaConfig(
-        min_diff=min_diff,
-        map_width=grid.width_m,
-        endpoint_distance=max(d, grid.dxy),
-        dxy=grid.dxy,
-    )
+class _Solve:
+    """What every search of one solve shares, and how the solve ends: the
+    counters, the ``EdgeCoster`` price memo, the limits, the endpoints'
+    :class:`AreaConfig` and the iteration count.  The searches and area
+    functions are looked up as module globals at each call, because
+    perfbench/tracing.py rebinds them."""
 
+    def __init__(self, algorithm: str, grid: TerrainGrid, model: CostModel, mask, src, dst, cfg: MultipathConfig):
+        self.algorithm, self.grid, self.model, self.mask = algorithm, grid, model, mask
+        self.src, self.dst, self.cfg = src, dst, cfg
+        self.stats = SearchStats()
+        self.coster = EdgeCoster(grid, model)
+        self.deadline = time.monotonic() + cfg.timeout
+        self.iterations = 0
+        d = math.hypot((dst[0] - src[0]) * grid.dxy, (dst[1] - src[1]) * grid.dxy)
+        self.acfg = AreaConfig(min_diff=cfg.min_diff, map_width=grid.width_m,
+                               endpoint_distance=max(d, grid.dxy), dxy=grid.dxy)
 
-def _finalize(
-    algorithm: str,
-    paths: list[Path],
-    opt_cost: Optional[float],
-    cfg: MultipathConfig,
-    acfg: AreaConfig,
-    stats: SearchStats,
-    iterations: int,
-    coster: EdgeCoster,
-) -> MultipathResult:
-    for p in paths:
-        p.price(coster)
-    paths = sorted(paths, key=lambda p: (p.total_cost, tuple(p.vertices)))
-    ratios = [p.total_cost / opt_cost for p in paths] if opt_cost else []
-    matrix = pairwise_areas(paths, acfg)
-    solved = (
-        not stats.incomplete
-        and opt_cost is not None
-        and len(paths) == cfg.k
-        and abs(paths[0].total_cost - opt_cost) <= 1e-9 * max(1.0, opt_cost)
-        and all(p.total_cost <= cost_bar(opt_cost, cfg.max_diff) for p in paths)
-        and all(
-            matrix[i][j] >= cfg.min_diff - 1e-9
-            for i in range(len(paths))
-            for j in range(i + 1, len(paths))
+    def search(self, **kwargs) -> Optional[Path]:
+        """One A* or Dijkstra query, as ``use_astar`` says, under the shared
+        counters, memo and limits; ``kwargs`` adds a filter or a penalty.
+        Each query is one iteration."""
+        self.iterations += 1
+        searcher = astar if self.cfg.use_astar else dijkstra
+        return searcher(self.grid, self.model, self.mask, self.src, self.dst, stats=self.stats,
+                        coster=self.coster, deadline=self.deadline, label_cap=self.cfg.label_cap, **kwargs)
+
+    def result(self, paths: list[Path], opt_cost: Optional[float]) -> MultipathResult:
+        """Price and sort ``paths`` and judge them against the three criteria."""
+        cfg, stats = self.cfg, self.stats
+        for p in paths:
+            p.price(self.coster)
+        paths = sorted(paths, key=lambda p: (p.total_cost, tuple(p.vertices)))
+        ratios = [p.total_cost / opt_cost for p in paths] if opt_cost else []
+        matrix = pairwise_areas(paths, self.acfg)
+        solved = (
+            not stats.incomplete
+            and opt_cost is not None
+            and len(paths) == cfg.k
+            and abs(paths[0].total_cost - opt_cost) <= 1e-9 * max(1.0, opt_cost)
+            and all(p.total_cost <= cost_bar(opt_cost, cfg.max_diff) for p in paths)
+            and all(
+                matrix[i][j] >= cfg.min_diff - 1e-9
+                for i in range(len(paths))
+                for j in range(i + 1, len(paths))
+            )
         )
-    )
-    return MultipathResult(
-        algorithm=algorithm,
-        paths=paths,
-        optimal_cost=opt_cost,
-        cost_ratios=ratios,
-        area_matrix=matrix,
-        solved=solved,
-        expansions=stats.expansions,
-        iterations=iterations,
-        peak_labels=stats.peak_labels,
-        incomplete=stats.incomplete,
-    )
+        return MultipathResult(
+            algorithm=self.algorithm, paths=paths, optimal_cost=opt_cost, cost_ratios=ratios,
+            area_matrix=matrix, solved=solved, expansions=stats.expansions, iterations=self.iterations,
+            peak_labels=stats.peak_labels, incomplete=stats.incomplete,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +200,7 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
     path and re-run the engine; failed cuts are restored and the next most
     sensitive untried edge is cut instead.  Stops early once a candidate is
     too expensive, since later candidates only get costlier."""
-    stats = SearchStats()
-    coster = EdgeCoster(grid, model)
-    # Every search shares the counters, the price memo and the limits.
-    common = dict(stats=stats, coster=coster, deadline=time.monotonic() + cfg.timeout, label_cap=cfg.label_cap)
-    searcher = astar if cfg.use_astar else dijkstra
-    acfg = _area_config(grid, src, dst, cfg.min_diff)
+    run = _Solve("se", grid, model, mask, src, dst, cfg)
     w = sensitivity_width(cfg.min_diff, grid.ny)
 
     blocked: set[tuple[int, int]] = set()
@@ -206,10 +209,9 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
     def edge_filter(u: AugVertex, v: AugVertex) -> bool:
         return (v.x, v.y) not in blocked
 
-    opt = searcher(grid, model, mask, src, dst, **common)
-    iterations = 1
+    opt = run.search()
     if opt is None:
-        return _finalize("se", [], None, cfg, acfg, stats, iterations, coster)
+        return run.result([], None)
     paths = [opt]
     bar = cost_bar(opt.total_cost, cfg.max_diff)
 
@@ -224,12 +226,11 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
         wall = _wall_positions(grid, paths[-1].vertices[edge + 1], w)
         walls.append(wall)
         blocked.update(wall)
-        cand = searcher(grid, model, mask, src, dst, edge_filter=edge_filter, **common)
-        iterations += 1
-        if stats.incomplete:
+        cand = run.search(edge_filter=edge_filter)
+        if run.stats.incomplete:
             break
         too_costly = cand is not None and cand.total_cost > bar
-        if cand is not None and not too_costly and all(area_diff(cand, p, acfg) >= cfg.min_diff for p in paths):
+        if cand is not None and not too_costly and all(area_diff(cand, p, run.acfg) >= cfg.min_diff for p in paths):
             paths.append(cand)
             cuts = None
             continue
@@ -240,7 +241,7 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
         blocked.update(*walls)
         if too_costly:
             break
-    return _finalize("se", paths, opt.total_cost, cfg, acfg, stats, iterations, coster)
+    return run.result(paths, opt.total_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +328,29 @@ def run_ipa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResul
     """Penalize corridors around accepted paths and re-search, adapting the
     penalty width by the bracket rules until k paths are found or the bracket
     is exhausted.  Reported path costs are always un-penalized."""
-    stats = SearchStats()
-    coster = EdgeCoster(grid, model)
-    # Every search shares the counters, the price memo and the limits.
-    common = dict(stats=stats, coster=coster, deadline=time.monotonic() + cfg.timeout, label_cap=cfg.label_cap)
-    searcher = astar if cfg.use_astar else dijkstra
-    acfg = _area_config(grid, src, dst, cfg.min_diff)
-
-    opt = searcher(grid, model, mask, src, dst, **common)
-    iterations = 1
+    run = _Solve("ipa", grid, model, mask, src, dst, cfg)
+    opt = run.search()
     if opt is None:
-        return _finalize("ipa", [], None, cfg, acfg, stats, iterations, coster)
+        return run.result([], None)
     paths = [opt]
     bar = cost_bar(opt.total_cost, cfg.max_diff)
     bracket = IpaBracket(cfg.penalty_width, cfg.penalty_max)
 
     while len(paths) < cfg.k:
         penalty = _corridor_penalty(grid, paths, bracket.width)
-        cand = searcher(grid, model, mask, src, dst, penalty=penalty, **common)
-        iterations += 1
+        cand = run.search(penalty=penalty)
         if cand is None:  # disconnected, or cut short by a limit
             break
         if cand.total_cost > bar:
             outcome = "expensive"
-        elif any(area_diff(cand, p, acfg) < cfg.min_diff for p in paths):
+        elif any(area_diff(cand, p, run.acfg) < cfg.min_diff for p in paths):
             outcome = "similar"
         else:
             outcome = "accepted"
             paths.append(cand)
         if not bracket.step(outcome):
             break
-    return _finalize("ipa", paths, opt.total_cost, cfg, acfg, stats, iterations, coster)
+    return run.result(paths, opt.total_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +363,28 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
     dissimilar labels per augmented vertex, until k paths reach the
     destination or every remaining label prices out.  With ``use_astar`` the
     sweep is keyed by the straight-line bound to the destination."""
-    deadline = time.monotonic() + cfg.timeout
-    stats = SearchStats()
-    coster = EdgeCoster(grid, model)
-    acfg = _area_config(grid, src, dst, cfg.min_diff)
+    run = _Solve("kspa", grid, model, mask, src, dst, cfg)
     rows = straight_line_rows(grid, model, dst) if cfg.use_astar else None
-    side = _LabelSide(grid, mask, coster, src, True, cfg.k, cfg.min_diff, cfg.max_diff, rows)
+    side = _LabelSide(grid, mask, run.coster, src, True, cfg.k, cfg.min_diff, cfg.max_diff, rows)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)
     dst_paths: list[Path] = []
     opt_cost: Optional[float] = None
 
-    for _, key, s, label in _settles(side, stats, deadline, cfg.label_cap):
+    for _, key, s, label in _settles(side, run.stats, run.deadline, cfg.label_cap):
         # Keys are popped in order, so once one passes the bar every later
         # label reaches the destination too expensive.
         if opt_cost is not None and key > cost_bar(opt_cost, cfg.max_diff):
             break
         if s.x == dst_x and s.y == dst_y and s.z == dst_z:
-            cand = Path(vertices=side.chain(label), total_cost=0.0).price(coster)
+            cand = Path(vertices=side.chain(label), total_cost=0.0).price(run.coster)
             if opt_cost is None:
                 opt_cost = cand.total_cost
-            accept(cand, dst_paths, acfg, cfg.k, cfg.max_diff, opt_cost)
+            accept(cand, dst_paths, run.acfg, cfg.k, cfg.max_diff, opt_cost)
             if len(dst_paths) >= cfg.k:
                 break
-    # Every settle is one iteration.
-    return _finalize("kspa", dst_paths, opt_cost, cfg, acfg, stats, stats.expansions, coster)
+    run.iterations = run.stats.expansions  # every settle is one iteration
+    return run.result(dst_paths, opt_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +398,16 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
     rules; a rejected candidate is never reconsidered.  Expansion stops once
     no future meet can price within the cost bar, or at the timeout or the
     label cap."""
-    stats = SearchStats()
-    coster = EdgeCoster(grid, model)
+    run = _Solve(name, grid, model, mask, src, dst, cfg)
     engine = bidi_engine(
-        grid, model, mask, src, dst, use_ikeda=cfg.use_astar, stats=stats, coster=coster,
-        labels=ka, min_diff=cfg.min_diff, max_diff=cfg.max_diff,
-        deadline=time.monotonic() + cfg.timeout, label_cap=cfg.label_cap,
+        grid, model, mask, src, dst, use_ikeda=cfg.use_astar, stats=run.stats, coster=run.coster,
+        labels=ka, min_diff=cfg.min_diff, max_diff=cfg.max_diff, deadline=run.deadline, label_cap=cfg.label_cap,
     )
-    acfg = _area_config(grid, src, dst, cfg.min_diff)
     accepted: list[Path] = []
     seen: set[tuple] = set()
     mu: Optional[float] = None
-    iterations = 0
     for path in engine.events():
-        iterations += 1
+        run.iterations += 1
         if mu is None or path.total_cost < mu:
             mu = path.total_cost
             engine.set_cutoff(cost_bar(mu, cfg.max_diff))
@@ -429,9 +415,9 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
         if key in seen:
             continue
         seen.add(key)
-        if accept(path, accepted, acfg, cfg.k, cfg.max_diff, mu).outcome is not Outcome.REJECT:
-            assert_pairwise_dissimilar(accepted, acfg)
-    return _finalize(name, accepted, mu, cfg, acfg, stats, iterations, coster)
+        if accept(path, accepted, run.acfg, cfg.k, cfg.max_diff, mu).outcome is not Outcome.REJECT:
+            assert_pairwise_dissimilar(accepted, run.acfg)
+    return run.result(accepted, mu)
 
 
 def run_bds(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:

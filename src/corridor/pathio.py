@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 from .graph import AugVertex
 from .multipath import MultipathResult
@@ -75,18 +76,9 @@ def read_path_set(path) -> tuple[list[Path], dict]:
 
 
 def write_summary(path, result: MultipathResult, extra: dict | None = None) -> None:
-    payload = {
-        "algorithm": result.algorithm,
-        "solved": result.solved,
-        "optimal_cost": result.optimal_cost,
-        "costs": [p.total_cost for p in result.paths],
-        "cost_ratios": result.cost_ratios,
-        "area_matrix": result.area_matrix,
-        "expansions": result.expansions,
-        "iterations": result.iterations,
-        "peak_labels": result.peak_labels,
-        "incomplete": result.incomplete,
-    }
+    """Every :class:`MultipathResult` field but the paths, plus their costs."""
+    payload = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "paths"}
+    payload["costs"] = [p.total_cost for p in result.paths]
     if extra:
         payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:

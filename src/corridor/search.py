@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, ikeda_potentials, straight_line_rows
-from .dissimilarity import Profile, area_cells, cost_bar, place
+from .dissimilarity import ADD, REJECT, Profile, area_cells, cost_bar, place
 from .graph import (
     AugVertex,
     HeightMask,
@@ -437,11 +437,11 @@ class _LabelSide:
         if bucket:
             stop, mine = self._stop_cells(state), label.means()
             similar = [i for i, other in enumerate(bucket) if area_cells(mine, other.means(), stop) < stop]
-            where = place([l.cost for l in bucket], similar, cost, self.cap)
-            if where == "reject":
+            decision = place([l.cost for l in bucket], similar, cost, self.cap)
+            if decision is REJECT:
                 return
-            if where != "add":
-                self._kill(bucket[where])
+            if decision is not ADD:
+                self._kill(bucket[decision.index])
         self._push(label)
 
     def cost(self, label: _Label) -> float:

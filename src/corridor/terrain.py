@@ -32,8 +32,8 @@ class TerrainGrid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2x2 vertices")
-        if self.dxy <= 0 or self.dz <= 0:
-            raise ValueError("grid spacings must be positive")
+        if not (0 < self.dxy < math.inf and 0 < self.dz < math.inf):
+            raise ValueError("grid spacings must be positive and finite")
         z = np.asarray(self.z, dtype=float)
         if z.shape != (self.ny, self.nx):
             raise ValueError(f"elevation array shape {z.shape} != (ny={self.ny}, nx={self.nx})")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from corridor import CostModel
@@ -108,6 +110,13 @@ class TestRunMatrix:
         records_to_csv(records, p)
         back = records_from_csv(p)
         assert back == records
+
+    def test_deterministic_csv_round_trip(self, records, tmp_path):
+        # Deterministic mode leaves the wall_time column out; it reads back as 0.
+        p = tmp_path / "records.csv"
+        records_to_csv(records, p, include_wall_time=False)
+        assert "wall_time" not in p.read_text().splitlines()[0]
+        assert records_from_csv(p) == [replace(r, wall_time=0.0) for r in records]
 
     def test_profile_round_trip(self, records, tmp_path):
         solvers = sorted({r.solver for r in records})

@@ -92,6 +92,16 @@ class TestSolve:
         assert main(["solve", str(cfg)]) == 1
         assert "unknown mask kind 'wat'" in capsys.readouterr().err
 
+    # min_diff = nan used to run and stop on the accepted-set invariant
+    # ("... apart (min nan%)"); max_diff = nan ran and exited 2 with one path.
+    @pytest.mark.parametrize("key", ["min_diff", "max_diff"])
+    def test_nan_target_rejected(self, lane_setup, key, capsys):
+        _, cfg, out = lane_setup
+        cfg.write_text(cfg.read_text() + f"{key} = nan\n")
+        assert main(["solve", str(cfg)]) == 1
+        assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_boolean_rejected(self, lane_setup, capsys):
         _, cfg, _ = lane_setup
         cfg.write_text(cfg.read_text().replace("astar = true", "astar = ture"))
@@ -154,6 +164,13 @@ class TestTerrainCommands:
     def test_classify_missing_file(self, capsys):
         assert main(["terrain", "classify", "missing.grid"]) == 1
 
+    def test_classify_rejects_nan_spacing(self, tmp_path, capsys):
+        # This file used to classify as A=0.0% B=100.0% C=0.0%.
+        grid = tmp_path / "nan.grid"
+        grid.write_text("3 2 nan 1.0\n0 1 2\n0 1 2\n")
+        assert main(["terrain", "classify", str(grid)]) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestBench:
     def bench_cfg(self, tmp_path, out_name):
@@ -196,6 +213,14 @@ class TestBench:
         assert main(["bench", str(cfg)]) == 0
         header = (tmp_path / "outw" / "records.csv").read_text().splitlines()[0]
         assert "wall_time" in header
+
+    def test_bench_rejects_negative_min_diff(self, tmp_path, capsys):
+        # This config used to exit 0 with a ValueError recorded in every cell.
+        cfg = self.bench_cfg(tmp_path, "outm")
+        cfg.write_text(cfg.read_text() + "min_diff = -1\n")
+        assert main(["bench", str(cfg)]) == 1
+        assert "min_diff must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "outm").exists()
 
     def test_bench_unknown_boolean_rejected(self, tmp_path, capsys):
         cfg = self.bench_cfg(tmp_path, "outf")

@@ -143,3 +143,14 @@ class TestIkedaPotentials:
             for w in successors3do(g, u, mask):
                 reduced = coster(u, w) - pf[u.y][u.x] + pf[w.y][w.x]
                 assert reduced >= -1e-9
+
+
+# A rate of inf priced a flat move as NaN, and dijkstra returned a path whose
+# total_cost was nan.
+@pytest.mark.parametrize("key, value", [
+    ("paving_rate", math.inf), ("cut_rate", math.inf), ("fill_rate", math.nan),
+    ("road_width", math.inf), ("road_width", math.nan), ("max_grade", math.nan),
+])
+def test_cost_model_rejects_non_finite_settings(key, value):
+    with pytest.raises(ValueError):
+        CostModel(**{key: value})

@@ -147,3 +147,10 @@ class TestAccept:
             assert m[i][i] == 0.0
             for j in range(3):
                 assert m[i][j] == m[j][i]
+
+
+@pytest.mark.parametrize("key", ["min_diff", "map_width", "endpoint_distance", "dxy"])
+def test_area_config_rejects_nan(key):
+    values = dict(min_diff=12.0, map_width=100.0, endpoint_distance=100.0, dxy=10.0)
+    with pytest.raises(ValueError):
+        AreaConfig(**{**values, key: float("nan")})

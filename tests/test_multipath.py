@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -381,3 +383,14 @@ class TestDispatcher:
     def test_config_rejects_values_that_cannot_work(self, value):
         with pytest.raises(ValueError):
             MultipathConfig(**value)
+
+    # A NaN passes every "< 0" test, so each of these used to be accepted and
+    # fail later: a negative min_diff in the area metric, a NaN one in the
+    # accepted-set invariant.
+    @pytest.mark.parametrize("key, value", [
+        ("min_diff", -1.0), ("min_diff", math.nan), ("max_diff", math.nan),
+        ("penalty_width", math.nan), ("penalty_max", math.nan), ("timeout", math.nan),
+    ])
+    def test_config_rejects_nan_and_negative_min_diff(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            MultipathConfig(**{key: value})

@@ -17,6 +17,8 @@ from corridor.dissimilarity import (
     area_diff,
     assert_pairwise_dissimilar,
     cost_bar,
+    Decision,
+    Outcome,
     place,
 )
 from corridor.graph import AugVertex
@@ -156,15 +158,16 @@ def test_early_stop_decides_like_the_full_integral(pair, share, at_full):
 
 def by_the_docstring(costs, similar, cost, room):
     """The rule as :func:`accept` states it, written out case by case."""
+    reject = Decision(Outcome.REJECT)
     if len(similar) >= 2:
-        return "reject"
+        return reject
     if len(similar) == 1:
-        return similar[0] if cost < costs[similar[0]] else "reject"
+        return Decision(Outcome.REPLACE, similar[0]) if cost < costs[similar[0]] else reject
     if len(costs) < room:
-        return "add"
+        return Decision(Outcome.ADD)
     top = max(costs)
     last_top = max(i for i, c in enumerate(costs) if c == top)
-    return last_top if cost < top else "reject"
+    return Decision(Outcome.REPLACE, last_top) if cost < top else reject
 
 
 @settings(max_examples=500, deadline=None)

@@ -62,6 +62,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             TerrainGrid(nx=2, ny=2, dxy=0, dz=1, z=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("dxy, dz", [(math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf)])
+    def test_non_finite_spacing(self, dxy, dz):
+        with pytest.raises(ValueError, match="finite"):
+            TerrainGrid(nx=2, ny=2, dxy=dxy, dz=dz, z=np.zeros((2, 2)))
+
     def test_immutable(self):
         g = synth_terrain(1, 4, 4, 2.0)
         with pytest.raises(ValueError):

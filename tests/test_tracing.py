@@ -21,11 +21,16 @@ def test_traced_runs_count_expansions_and_meets(model):
     mask = simple_height_mask(g, 1.0, 1)
     tr = tracing.Tracer()
     with tracing.install(tr):
-        for algo in ("bds", "hybrid", "se"):
-            before = dict(tr.counts)
-            cfg = MultipathConfig(algorithm=algo, k=2, use_astar=True, timeout=60)
-            solve(g, model, mask, (0, 5), (15, 5), cfg)
-            assert tr.counts["search.expansions"] > before.get("search.expansions", 0), algo
-            assert tr.counts["graph.succ_calls"] > before.get("graph.succ_calls", 0), algo
-            if algo != "se":
-                assert tr.counts["search.meet_events"] > before.get("search.meet_events", 0), algo
+        for algo in ("se", "ipa", "kspa", "bds", "hybrid"):
+            for use_astar in (True, False):
+                case = (algo, use_astar)
+                before = dict(tr.counts)
+                cfg = MultipathConfig(algorithm=algo, k=2, use_astar=use_astar, timeout=60)
+                solve(g, model, mask, (0, 5), (15, 5), cfg)
+                grew = {name for name, n in tr.counts.items() if n > before.get(name, 0)}
+                assert "graph.succ_calls" in grew, case
+                # kspa's sweep calls no rebound search name.
+                if algo != "kspa":
+                    assert {"search.queries", "search.expansions"} <= grew, case
+                if algo in ("bds", "hybrid"):
+                    assert "search.meet_events" in grew, case
