@@ -15,6 +15,7 @@ deterministic.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -44,7 +45,7 @@ class BenchSolver:
     mask: str = "none"          # none | hr | ehr
     r: int = 3
     hm: float = 1.0
-    hi_band: float = 0.5
+    hi: float = 0.5
 
     def __post_init__(self):
         if self.mask not in MASK_KINDS:
@@ -93,8 +94,9 @@ class PerformanceProfile:
 SOLVER_MODIFIERS = ("astar", "hr", "ehr")
 
 
-def make_solver(spec: str, r: int = 3, hm: float = 1.0, hi_band: float = 0.5) -> BenchSolver:
-    """Parse a solver spec like ``bds+astar+hr`` into a BenchSolver.
+def make_solver(spec: str, **band) -> BenchSolver:
+    """Parse a solver spec like ``bds+astar+hr`` into a BenchSolver; ``band``
+    sets its ``r``, ``hm`` and ``hi``.
 
     Raises ValueError on an unknown algorithm, on a modifier other than
     ``astar``, ``hr`` or ``ehr``, on a repeated modifier and on both masks,
@@ -111,7 +113,7 @@ def make_solver(spec: str, r: int = 3, hm: float = 1.0, hi_band: float = 0.5) ->
         raise ValueError(f"solver spec {spec!r}: names both masks, hr and ehr")
     mask = "hr" if "hr" in mods else "ehr" if "ehr" in mods else "none"
     return BenchSolver(name=spec, algorithm=algorithm, use_astar="astar" in mods,
-                       mask=mask, r=r, hm=hm, hi_band=hi_band)
+                       mask=mask, **band)
 
 
 def _upper_triangle(matrix: list[list[float]]) -> tuple[float, ...]:
@@ -136,7 +138,7 @@ def run_cell(
     result = MultipathResult(algorithm=solver.algorithm, paths=[], optimal_cost=None,
                              cost_ratios=[], area_matrix=[], solved=False)
     try:
-        mask = height_mask(grid, solver.mask, solver.hm, solver.r, solver.hi_band,
+        mask = height_mask(grid, solver.mask, solver.hm, solver.r, solver.hi,
                            model.max_grade, bmap.src, bmap.dst)
         result = solve(grid, model, mask, bmap.src, bmap.dst, cfg)
     except Exception as exc:  # record, never abort the matrix
@@ -242,22 +244,17 @@ _CODECS = {
 def records_to_csv(records: Sequence[ExperimentRecord], path, include_wall_time: bool = True) -> None:
     """One column per :class:`ExperimentRecord` field, in field order."""
     cols = [f for f in fields(ExperimentRecord) if include_wall_time or f.name != "wall_time"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f.name for f in cols) + "\n")
-        for rec in records:
-            fh.write(",".join(_CODECS[f.type][0](getattr(rec, f.name)) for f in cols) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(f.name for f in cols)
+        out.writerows([_CODECS[f.type][0](getattr(rec, f.name)) for f in cols] for rec in records)
 
 
 def records_from_csv(path) -> list[ExperimentRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    records = []
-    for ln in lines[1:]:
-        raw = dict(zip(header, ln.split(",")))
-        records.append(ExperimentRecord(
-            **{f.name: _CODECS[f.type][1](raw.get(f.name, "")) for f in fields(ExperimentRecord)}))
-    return records
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [ExperimentRecord(**{f.name: _CODECS[f.type][1](raw.get(f.name, ""))
+                                    for f in fields(ExperimentRecord)})
+                for raw in csv.DictReader(fh, restval="")]
 
 
 def profile_to_csv(prof: PerformanceProfile, path) -> None:

@@ -9,7 +9,10 @@ Commands:
 
 Configs are flat ``key = value`` text files; ``#`` starts a comment.  Keys and
 defaults are documented in :data:`SOLVE_DEFAULTS` and :data:`BENCH_DEFAULTS`,
-which both include :data:`SHARED_DEFAULTS`.  A boolean is one of
+which both include :data:`SHARED_DEFAULTS`; a key that sets a field of
+:class:`MultipathConfig`, :class:`CostModel` or :class:`BenchSolver` takes the
+field's name (``astar`` sets ``use_astar``), type and default.  Each key is set
+at most once, and its value is read as its default's type; a boolean is one of
 1/0, true/false, yes/no or on/off, in any case.
 Exit codes: 0 solved, 2 valid run without a solution, 1 any error.
 """
@@ -19,9 +22,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .bench import (
     BenchMap,
+    BenchSolver,
     make_solver,
     profile,
     profile_to_csv,
@@ -35,20 +40,22 @@ from .multipath import MultipathConfig, solve
 from .pathio import write_path_set, write_summary
 from .terrain import classify, load_grid, save_grid, synth_terrain
 
+# A field read under another key.
+_KEYS = {"use_astar": "astar"}
+
+
+def _defaults(cls, names=None) -> dict:
+    """The defaults of ``cls``'s fields (or of those in ``names``), by key."""
+    return {_KEYS.get(f.name, f.name): f.default for f in fields(cls) if names is None or f.name in names}
+
+
+MASK_KEYS = ("r", "hm", "hi")
+
 # The keys that both ``solve`` and ``bench`` read.
 SHARED_DEFAULTS = {
-    "k": "3",
-    "min_diff": "12",
-    "max_diff": "10",
-    "r": "3",
-    "hm": "1",
-    "hi": "0.5",
-    "timeout": "300",
-    "paving_rate": "1.0",
-    "cut_rate": "1.0",
-    "fill_rate": "1.0",
-    "road_width": "10",
-    "max_grade": "0.10",
+    **_defaults(MultipathConfig, ("k", "min_diff", "max_diff", "timeout")),
+    **_defaults(CostModel),
+    **_defaults(BenchSolver, MASK_KEYS),
     "out_dir": "out",
 }
 
@@ -56,26 +63,31 @@ SOLVE_DEFAULTS = {
     "grid": "",              # path to a grid file (required)
     "src": "",               # "x,y" grid coordinates (required)
     "dst": "",               # "x,y" grid coordinates (required)
-    "algorithm": "bds",      # se | ipa | kspa | bds | hybrid
-    "astar": "false",
     "mask": "hr",            # none | hr | ehr
-    "penalty_width": "10",
-    "penalty_max": "320",
-    "ka": "2",
-    "label_cap": "",         # blank: the MultipathConfig default
+    **_defaults(MultipathConfig),  # algorithm: se | ipa | kspa | bds | hybrid
     **SHARED_DEFAULTS,
 }
 
 BENCH_DEFAULTS = {
     "maps": "",              # comma list: grid paths or synth:SEED:NX:NY:RELIEF
     "solvers": "se,ipa,kspa,bds,hybrid",
-    "deterministic": "true",  # omit wall times from CSV; profile by expansions
+    "deterministic": True,   # omit wall times from CSV; profile by expansions
     **SHARED_DEFAULTS,
 }
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def _bool(text: str) -> bool:
+    return _BOOLS[text.strip().lower()]
+
 
 def parse_config(path, defaults: dict) -> dict:
+    """``defaults`` with the file's values, each read as its default's type."""
     cfg = dict(defaults)
+    seen = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -86,19 +98,15 @@ def parse_config(path, defaults: dict) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = value
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: {key} is already set on line {seen[key]}")
+            seen[key] = lineno
+            kind = type(defaults[key])
+            try:
+                cfg[key] = _bool(value) if kind is bool else kind(value)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not {_KINDS[kind]}") from None
     return cfg
-
-
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _bool(cfg: dict, key: str) -> bool:
-    value = cfg[key].strip().lower()
-    if value not in _BOOLS:
-        raise ValueError(f"{key} = {cfg[key]!r} is not a boolean")
-    return _BOOLS[value]
 
 
 def _xy(s: str) -> tuple[int, int]:
@@ -106,25 +114,9 @@ def _xy(s: str) -> tuple[int, int]:
     return int(x), int(y)
 
 
-def _build_model(cfg: dict) -> CostModel:
-    return CostModel(
-        paving_rate=float(cfg["paving_rate"]),
-        cut_rate=float(cfg["cut_rate"]),
-        fill_rate=float(cfg["fill_rate"]),
-        road_width=float(cfg["road_width"]),
-        max_grade=float(cfg["max_grade"]),
-    )
-
-
-def _multipath_config(cfg: dict, **fields) -> MultipathConfig:
-    """A config from the shared keys, plus the command's own ``fields``."""
-    return MultipathConfig(
-        k=int(cfg["k"]),
-        min_diff=float(cfg["min_diff"]),
-        max_diff=float(cfg["max_diff"]),
-        timeout=float(cfg["timeout"]),
-        **fields,
-    )
+def _build(cls, cfg: dict):
+    """A ``cls`` from the keys of ``cfg`` that name its fields."""
+    return cls(**{f.name: cfg[key] for f in fields(cls) if (key := _KEYS.get(f.name, f.name)) in cfg})
 
 
 def cmd_solve(config_path: str) -> int:
@@ -139,19 +131,9 @@ def cmd_solve(config_path: str) -> int:
     for x, y in (src, dst):
         if not (0 <= x < grid.nx and 0 <= y < grid.ny):
             raise ValueError(f"endpoint ({x},{y}) outside grid")
-    model = _build_model(cfg)
-    mask = height_mask(grid, cfg["mask"], float(cfg["hm"]), int(cfg["r"]), float(cfg["hi"]),
-                       model.max_grade, src, dst)
-    mp = _multipath_config(
-        cfg,
-        algorithm=cfg["algorithm"],
-        penalty_width=float(cfg["penalty_width"]),
-        penalty_max=float(cfg["penalty_max"]),
-        ka=int(cfg["ka"]),
-        use_astar=_bool(cfg, "astar"),
-        label_cap=int(cfg["label_cap"]) if cfg["label_cap"] else MultipathConfig.label_cap,
-    )
-    result = solve(grid, model, mask, src, dst, mp)
+    model = _build(CostModel, cfg)
+    mask = height_mask(grid, cfg["mask"], cfg["hm"], cfg["r"], cfg["hi"], model.max_grade, src, dst)
+    result = solve(grid, model, mask, src, dst, _build(MultipathConfig, cfg))
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_path_set(os.path.join(out_dir, "paths.txt"), result)
@@ -185,14 +167,11 @@ def _parse_maps(spec: str) -> list[BenchMap]:
 
 def cmd_bench(config_path: str) -> int:
     cfg = parse_config(config_path, BENCH_DEFAULTS)
-    deterministic = _bool(cfg, "deterministic")
+    deterministic = cfg["deterministic"]
     maps = _parse_maps(cfg["maps"])
-    solvers = [
-        make_solver(s.strip(), r=int(cfg["r"]), hm=float(cfg["hm"]), hi_band=float(cfg["hi"]))
-        for s in cfg["solvers"].split(",") if s.strip()
-    ]
-    model = _build_model(cfg)
-    records = run_matrix(maps, solvers, model, _multipath_config(cfg))
+    band = {key: cfg[key] for key in MASK_KEYS}
+    solvers = [make_solver(s.strip(), **band) for s in cfg["solvers"].split(",") if s.strip()]
+    records = run_matrix(maps, solvers, _build(CostModel, cfg), _build(MultipathConfig, cfg))
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     records_to_csv(records, os.path.join(out_dir, "records.csv"),

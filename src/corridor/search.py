@@ -93,6 +93,8 @@ class Path:
 
 
 def _seed_states(grid, mask, xy) -> list[AugVertex]:
+    if mask is not None and mask.z_lo.shape != (grid.ny, grid.nx):
+        raise ValueError(f"mask of shape {mask.z_lo.shape} on a grid of shape {(grid.ny, grid.nx)}")
     x, y = xy
     z = ground_z_index(grid, x, y)
     if mask is not None and not mask.admits(x, y, z):

@@ -43,6 +43,10 @@ class TestSolverSpec:
         s = make_solver("bds+hr")
         assert s.r == 3 and s.hm == 1.0
 
+    def test_band_reaches_the_solver(self):
+        s = make_solver("bds+ehr", r=2, hm=2.0, hi=1.0)
+        assert (s.mask, s.r, s.hm, s.hi) == ("ehr", 2, 2.0, 1.0)
+
     def test_bad_mask(self):
         with pytest.raises(ValueError):
             BenchSolver(name="x", algorithm="bds", mask="wat")
@@ -213,6 +217,24 @@ class TestProfile:
         lines = p.read_text().splitlines()
         assert lines[0] == "solver,tau,fraction"
         assert lines[1] == "A,1.0,1.0"
+
+    # Fields used to be joined and split on bare commas: the error below read
+    # back cut at its first comma, and a map_id holding one did not read back.
+    @pytest.mark.parametrize("map_id, error", [
+        ("p1", "ValueError: ground level at (0, 5) not admissible under mask"),
+        ("a,b-0", 'ValueError: a, "b"'),
+    ])
+    def test_csv_round_trip_of_commas_and_quotes(self, tmp_path, map_id, error):
+        rec = replace(fake_record(map_id, "A", False, 1.5), error=error)
+        p = tmp_path / "records.csv"
+        records_to_csv([rec], p)
+        assert records_from_csv(p) == [rec]
+
+    def test_plain_csv_row_bytes(self, tmp_path):
+        p = tmp_path / "records.csv"
+        records_to_csv([fake_record("p1", "A", True, 1.5)], p, include_wall_time=False)
+        assert p.read_bytes().splitlines()[1] == (
+            b"p1,10,10,3,1.0,0.0,0.0,A,A,0,0,0,100,0,1,1.0;1.05;1.08,15.0;14.0;20.0,")
 
 
 class TestExpansionOrdering:

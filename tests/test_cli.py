@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from corridor import CostModel, load_grid, save_grid, simple_height_mask
-from corridor.cli import _bool, main, parse_config, SOLVE_DEFAULTS
+from corridor import CostModel, MultipathConfig, load_grid, save_grid, simple_height_mask
+from corridor.bench import BenchSolver
+from corridor.cli import _bool, _build, main, parse_config, BENCH_DEFAULTS, MASK_KEYS, SOLVE_DEFAULTS
 from corridor.pathio import read_path_set
 
 from conftest import canyon_grid, flat_grid, lane_grid
@@ -111,7 +112,7 @@ class TestSolve:
     def test_boolean_spellings(self):
         for value, meaning in (("1", True), ("TRUE", True), ("Yes", True), (" on ", True),
                                ("0", False), ("False", False), ("NO", False), ("off", False)):
-            assert _bool({"astar": value}, "astar") is meaning
+            assert _bool(value) is meaning
 
     def test_hybrid_selects_k_paths_by_default(self, tmp_path):
         grid_path = tmp_path / "flat.grid"
@@ -139,9 +140,42 @@ class TestSolve:
         cfg.write_text("# comment\ngrid = g.txt  # trailing\n")
         parsed = parse_config(cfg, SOLVE_DEFAULTS)
         assert parsed["grid"] == "g.txt"
-        assert parsed["k"] == "3" and parsed["min_diff"] == "12"
-        assert parsed["r"] == "3" and parsed["hm"] == "1" and parsed["hi"] == "0.5"
-        assert parsed["penalty_width"] == "10" and parsed["ka"] == "2"
+        assert parsed["k"] == 3 and parsed["min_diff"] == 12.0
+        assert parsed["r"] == 3 and parsed["hm"] == 1.0 and parsed["hi"] == 0.5
+        assert parsed["penalty_width"] == 10.0 and parsed["ka"] == 2
+
+    def test_key_counts(self):
+        assert len(SOLVE_DEFAULTS) == 23 and len(BENCH_DEFAULTS) == 16
+
+    def test_defaults_are_the_dataclass_defaults(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("grid = g.txt\nsrc = 0,0\ndst = 1,1\n")
+        parsed = parse_config(cfg, SOLVE_DEFAULTS)
+        # repr tells 3 from 3.0, so each field also keeps its type.
+        assert repr(_build(MultipathConfig, parsed)) == repr(MultipathConfig())
+        assert repr(_build(CostModel, parsed)) == repr(CostModel())
+        band = BenchSolver(name="x", algorithm="bds")
+        assert [repr(parsed[key]) for key in MASK_KEYS] == [repr(getattr(band, key)) for key in MASK_KEYS]
+
+    def test_repeated_key_rejected(self, lane_setup, capsys):
+        _, cfg, out = lane_setup
+        lines = cfg.read_text().count("\n")
+        cfg.write_text(cfg.read_text() + "algorithm = se\n")
+        assert main(["solve", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{lines + 1}: algorithm is already set on line 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, kind", [("k = 2.5", "an integer"), ("r = x", "an integer"),
+                                            ("hi = x", "a number"), ("label_cap =", "an integer")])
+    def test_unparsed_value_names_its_key(self, lane_setup, line, kind, capsys):
+        _, cfg, out = lane_setup
+        lines = cfg.read_text().count("\n")
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert main(["solve", str(cfg)]) == 1
+        key, value = (s.strip() for s in line.split("="))
+        assert f"{cfg}:{lines + 1}: {key} = {value!r} is not {kind}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTerrainCommands:

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from corridor import CostModel, TerrainGrid, bidi_engine, simple_height_mask
+from corridor import CostModel, HeightMask, MultipathConfig, TerrainGrid, bidi_engine, simple_height_mask, solve
 from corridor.cost import EdgeCoster
 from corridor.graph import AugVertex, ground_z_index, successors3do
 from corridor.search import SearchStats, _LabelSide, _settles, astar, dijkstra
@@ -226,6 +226,22 @@ class TestBidiEngine:
         list(bidi_engine(grid, model, mask, src, dst, cutoff=opt, stats=tight).events())
         list(bidi_engine(grid, model, mask, src, dst, cutoff=1.2 * opt, stats=loose).events())
         assert tight.expansions < loose.expansions
+
+
+# On an 8x5 grid, the (5, 9) and (6, 8) masks used to make dijkstra and astar
+# return a path over the wrong band, and the (1, 8) mask an IndexError.
+@pytest.mark.parametrize("shape", [(5, 9), (6, 8), (1, 8)])
+@pytest.mark.parametrize("run", [
+    lambda g, m, mask: dijkstra(g, m, mask, (0, 2), (7, 2)),
+    lambda g, m, mask: astar(g, m, mask, (0, 2), (7, 2)),
+    lambda g, m, mask: list(bidi_engine(g, m, mask, (0, 2), (7, 2)).events()),
+    *(lambda g, m, mask, a=a: solve(g, m, mask, (0, 2), (7, 2), MultipathConfig(k=2, algorithm=a))
+      for a in ("se", "ipa", "kspa", "bds", "hybrid")),
+], ids=["dijkstra", "astar", "bidi_engine", "se", "ipa", "kspa", "bds", "hybrid"])
+def test_mask_of_another_shape_rejected(model, shape, run):
+    mask = HeightMask(np.full(shape, -2), np.full(shape, 2))
+    with pytest.raises(ValueError, match=r"mask of shape \(\d+, \d+\) on a grid of shape \(5, 8\)"):
+        run(flat_grid(nx=8, ny=5), model, mask)
 
 
 def test_dropped_sides_are_freed_without_the_cycle_collector(model):
