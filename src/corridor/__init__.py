@@ -1,6 +1,6 @@
 """Dissimilar road-corridor selection over terrain elevation grids."""
 
-from .cost import CostModel, EdgeCoster, astar_heuristic, edge_cost, ikeda_potentials
+from .cost import CostModel, EdgeCoster, astar_heuristic, edge_cost
 from .dissimilarity import AreaConfig, Decision, Outcome, accept, area_diff, pairwise_areas
 from .graph import (
     AugVertex,

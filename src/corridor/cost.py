@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import AugVertex, HeightMask
+from .graph import AugVertex, HeightMask, check_mask_shape
 from .terrain import DIR8, TerrainGrid, ground_profile
 
 Point3 = tuple[float, float, float]
@@ -260,6 +260,7 @@ def planar_bound(
     relaxed move never overprices the augmented edges above it, so the field
     is a consistent A* potential.  Columns that cannot reach ``dst`` read inf.
     """
+    check_mask_shape(grid, mask)
     nx, ny = grid.nx, grid.ny
     lo = np.full((ny, nx), grid.z_min_index, dtype=np.int64)
     hi = np.full((ny, nx), grid.z_max_index, dtype=np.int64)
@@ -351,15 +352,3 @@ def straight_line_rows(grid: TerrainGrid, model: CostModel, dst: tuple[int, int]
     gaps_y = [dst[1] * dxy - y * dxy for y in range(grid.ny)]
     return [[rate * hypot(gx, gy) for gx in gaps_x] for gy in gaps_y]
 
-
-def ikeda_potentials(rows_f: list[list[float]], rows_b: list[list[float]]) -> tuple[list, list]:
-    """Average-difference potential pair for bidirectional A*, as rows
-    ``[y][x]``, from the bounds to the destination (``rows_f``) and to the
-    source (``rows_b``).
-
-    ``pf = (f - b) / 2`` and ``pb = -pf``, so pf + pb is constant (zero)
-    everywhere and the two reduced searches terminate on the plain
-    bidirectional condition without losing optimality.
-    """
-    pf = [[0.5 * (f - b) for f, b in zip(row_f, row_b)] for row_f, row_b in zip(rows_f, rows_b)]
-    return pf, [[-p for p in row] for row in pf]

@@ -64,6 +64,12 @@ class GraphStats:
     edgeCount: int
 
 
+def check_mask_shape(grid: TerrainGrid, mask: Optional[HeightMask]) -> None:
+    """Raise ``ValueError`` unless ``mask`` is None or has one band per grid column."""
+    if mask is not None and mask.z_lo.shape != (grid.ny, grid.nx):
+        raise ValueError(f"mask of shape {mask.z_lo.shape} on a grid of shape {(grid.ny, grid.nx)}")
+
+
 def ground_z_index(grid: TerrainGrid, x: int, y: int) -> int:
     """Ground elevation at a grid vertex snapped to the nearest z level."""
     return int(round(float(grid.z[y, x]) / grid.dz))

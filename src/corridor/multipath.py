@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .cost import CostModel, EdgeCoster, straight_line_rows
+from .cost import CostModel, EdgeCoster
 from .dissimilarity import (
     AreaConfig,
     Outcome,
@@ -78,8 +78,10 @@ class MultipathConfig:
             raise ValueError("max_diff must be >= 0")
         if not self.penalty_width > 0:
             raise ValueError("penalty_width must be positive")
-        if math.isnan(self.penalty_max) or math.isnan(self.timeout):
-            raise ValueError("penalty_max and timeout must not be NaN")
+        if not self.penalty_max > self.penalty_width:
+            raise ValueError("penalty_max must exceed penalty_width")
+        if not self.timeout >= 0:
+            raise ValueError("timeout must be >= 0")
         if self.ka < 1:
             raise ValueError("ka must be >= 1")
 
@@ -362,9 +364,10 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
     """Single multi-label sweep from the source, keeping up to k mutually
     dissimilar labels per augmented vertex, until k paths reach the
     destination or every remaining label prices out.  With ``use_astar`` the
-    sweep is keyed by the straight-line bound to the destination."""
+    sweep is keyed by the A* potential to the destination, as :func:`astar`
+    and the bidirectional engine are."""
     run = _Solve("kspa", grid, model, mask, src, dst, cfg)
-    rows = straight_line_rows(grid, model, dst) if cfg.use_astar else None
+    rows = run.coster.astar_potential(mask, dst) if cfg.use_astar else None
     side = _LabelSide(grid, mask, run.coster, src, True, cfg.k, cfg.min_diff, cfg.max_diff, rows)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)

@@ -3,10 +3,11 @@
 Two kinds of sweep serve every search, driven by one settle loop that holds
 the deadline, the label cap and the counters.  A :class:`_Sweep` keeps one
 label per state in dicts: :func:`dijkstra` and :func:`astar` run one, and
-the :class:`BidiEngine` grows two towards each other (``bds``) and exposes
-settled meeting states as a stream of paths.  A :class:`_LabelSide` keeps
-several mutually dissimilar labels per state: the engine grows two of them
-for ``hybrid``, and one on its own is the ``kspa`` sweep.  All of them
+the :class:`BidiEngine` grows two towards each other (``bds``), always the
+one whose lowest key is smaller, and exposes settled meeting states as a
+stream of paths.  A :class:`_LabelSide` keeps several mutually dissimilar
+labels per state: the engine grows two of them for ``hybrid``, and one on
+its own is the ``kspa`` sweep.  All of them
 
   * seed the source position with all 24 (h, v) orientations at cost 0 and
     accept any orientation at the destination,
@@ -26,11 +27,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .cost import CostModel, EdgeCoster, ikeda_potentials, straight_line_rows
+from .cost import CostModel, EdgeCoster, straight_line_rows
 from .dissimilarity import ADD, REJECT, Profile, area_cells, cost_bar, place
 from .graph import (
     AugVertex,
     HeightMask,
+    check_mask_shape,
     flip_state,
     ground_z_index,
     rev_successors3do,
@@ -93,8 +95,7 @@ class Path:
 
 
 def _seed_states(grid, mask, xy) -> list[AugVertex]:
-    if mask is not None and mask.z_lo.shape != (grid.ny, grid.nx):
-        raise ValueError(f"mask of shape {mask.z_lo.shape} on a grid of shape {(grid.ny, grid.nx)}")
+    check_mask_shape(grid, mask)
     x, y = xy
     z = ground_z_index(grid, x, y)
     if mask is not None and not mask.admits(x, y, z):
@@ -349,12 +350,14 @@ class _LabelSide:
     dissimilar labels per state, with the settle interface of :class:`_Sweep`.
 
     A new label must price within the cost bar of the state's cheapest
-    label, and :func:`~corridor.dissimilarity.place` decides whether it
-    joins, replaces a label or is rejected.  A state whose ``cap`` labels
-    have settled is closed and skipped before pricing: with a consistent
-    potential a later offer costs at least as much as every settled label
-    there, so it would be rejected anyway.  Heap entries are ``(key, state,
-    seq, label)``, so ties break on the state and then on the push order.
+    label.  An offer below the cheapest cost first drops the labels above
+    its lowered bar; then :func:`~corridor.dissimilarity.place` decides
+    whether it joins, replaces a label or is rejected.  A state
+    whose ``cap`` labels have settled is closed and skipped before pricing:
+    with a consistent potential a later offer costs at least as much as
+    every settled label there, so it would be rejected anyway.  Heap
+    entries are ``(key, state, seq, label)``, so ties break on the state
+    and then on the push order.
     """
 
     def __init__(
@@ -433,8 +436,12 @@ class _LabelSide:
 
     def _keep_dissimilar(self, parent: _Label, state: AugVertex, cost: float) -> None:
         bucket = self.labels.get(state)
-        if bucket and cost > cost_bar(min(l.cost for l in bucket), self.max_diff):
+        cheapest = min(l.cost for l in bucket) if bucket else math.inf
+        if cost > cost_bar(cheapest, self.max_diff):
             return
+        if bucket and cost < cheapest:
+            for other in [l for l in bucket if l.cost > cost_bar(cost, self.max_diff)]:
+                self._kill(other)
         label = _Label(cost, state, parent)
         if bucket:
             stop, mine = self._stop_cells(state), label.means()
@@ -470,8 +477,9 @@ class BidiEngine:
     Each direction is a :class:`_Sweep` when ``labels`` is 1, else a
     :class:`_LabelSide` keeping up to ``labels`` labels per state, whose
     per-state rule ``min_diff`` and ``max_diff`` set.  With ``use_ikeda``
-    the sides are keyed by the average-difference potentials of the
-    straight-line bounds.  The backward search runs on the reversed graph
+    each side is keyed by the A* potential to its far end
+    (:meth:`~corridor.cost.EdgeCoster.astar_potential`), else by plain
+    cost.  The backward search runs on the reversed graph
     with states stored in reverse orientation (``flip_state``); a forward
     label with orientation (h, v) therefore pairs with the backward labels
     at (h+4 mod 8, -v) on the same position — other orientation pairs are
@@ -479,11 +487,12 @@ class BidiEngine:
     settled label at its mate state: the two labels' chains joined, with
     the sum of their costs as ``total_cost``.
 
-    A cutoff (settable at construction or any time via :meth:`set_cutoff`)
-    stops path production once both frontiers can no longer produce a meet
-    at or below it.  The search also stops, and sets ``stats.incomplete``,
-    when a settle finds ``deadline`` (a :func:`time.monotonic` time) passed
-    or the two sides holding more than ``label_cap`` labels.
+    The side with the lower key grows (:meth:`pick`).  A cutoff (settable
+    at construction or any time via :meth:`set_cutoff`) stops the search
+    once both keys pass it, having emitted every meet within it.  The
+    search also stops, and sets ``stats.incomplete``, when a settle finds
+    ``deadline`` (a :func:`time.monotonic` time) passed or the two sides
+    holding more than ``label_cap`` labels.
     """
 
     def __init__(
@@ -509,13 +518,8 @@ class BidiEngine:
         self._deadline = deadline
         self._label_cap = label_cap
         rows_f = rows_b = None
-        self._shift_f = self._shift_b = 0.0
         if use_ikeda:
-            hf, hb = straight_line_rows(grid, model, dst), straight_line_rows(grid, model, src)
-            rows_f, rows_b = ikeda_potentials(hf, hb)
-            # Keys carry potentials; a frontier key less the opposite
-            # endpoint's term bounds the totals of the meets it can make.
-            self._shift_f, self._shift_b = rows_f[dst[1]][dst[0]], rows_b[src[1]][src[0]]
+            rows_f, rows_b = coster.astar_potential(mask, dst), coster.astar_potential(mask, src)
         if labels == 1:
             self._fwd = _Sweep(grid, mask, coster, src, True, rows_f)
             self._bwd = _Sweep(grid, mask, coster, dst, False, rows_b)
@@ -526,22 +530,19 @@ class BidiEngine:
     def set_cutoff(self, cutoff: float) -> None:
         self._cutoff = cutoff
 
-    def _future_total_bound(self) -> float:
-        """No path produced after this point can cost less."""
-        fronts = ((self._fwd, self._shift_f), (self._bwd, self._shift_b))
-        return min((side.heap[0][0] - shift for side, shift in fronts if side.heap), default=math.inf)
-
     def _cutoff_bar(self) -> float:
         return self._cutoff * (1.0 + 1e-9) + 1e-9
 
     def pick(self):
-        """The side to grow, the one with the smaller heap and forward on a
-        tie; None once both have drained or no future meet can price within
-        the cutoff."""
+        """The side whose lowest key is smaller, forward on a tie; None once
+        that key is above the cutoff bar or both sides have drained.  A meet
+        through a state costs at least either side's key there, so no meet
+        made after that point can price within the cutoff."""
         fwd, bwd = self._fwd, self._bwd
-        if not (fwd.heap or bwd.heap) or self._future_total_bound() > self._cutoff_bar():
-            return None
-        return fwd if not bwd.heap or 0 < len(fwd.heap) <= len(bwd.heap) else bwd
+        top_f = fwd.heap[0][0] if fwd.heap else math.inf
+        top_b = bwd.heap[0][0] if bwd.heap else math.inf
+        side, top = (fwd, top_f) if top_f <= top_b else (bwd, top_b)
+        return side if top < math.inf and top <= self._cutoff_bar() else None
 
     def held(self) -> int:
         return self._fwd.held() + self._bwd.held()

@@ -256,6 +256,14 @@ class TestBench:
         assert "min_diff must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "outm").exists()
 
+    def test_bench_rejects_negative_timeout(self, tmp_path, capsys):
+        # This config used to exit 0 with no corridor in any cell.
+        cfg = self.bench_cfg(tmp_path, "outt")
+        cfg.write_text(cfg.read_text().replace("timeout = 60", "timeout = -1"))
+        assert main(["bench", str(cfg)]) == 1
+        assert "timeout must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "outt").exists()
+
     def test_bench_unknown_boolean_rejected(self, tmp_path, capsys):
         cfg = self.bench_cfg(tmp_path, "outf")
         cfg.write_text(cfg.read_text() + "deterministic = flase\n")

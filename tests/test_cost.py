@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from corridor import CostModel, TerrainGrid, astar_heuristic, edge_cost, ikeda_potentials
+from corridor import CostModel, TerrainGrid, astar_heuristic, edge_cost
 from corridor.cost import EdgeCoster
 from corridor.graph import AugVertex, simple_height_mask
 from corridor.search import dijkstra
@@ -108,41 +108,6 @@ class TestHeuristic:
         p = dijkstra(g, m, mask, src, dst)
         h = astar_heuristic(m, (0.0, 100.0), (190.0, 100.0))
         assert h <= p.total_cost + 1e-9
-
-
-class TestIkedaPotentials:
-    def test_symmetric_heuristics_vanish(self):
-        h = [[7.5] * 5 for _ in range(6)]
-        pf, pb = ikeda_potentials(h, h)
-        assert pf[4][3] == 0.0 and pb[4][3] == 0.0
-
-    def test_sum_is_zero(self):
-        m = CostModel(paving_rate=1.5)
-        points = np.random.default_rng(2).uniform(0, 100, (25, 2))
-        hf = [[astar_heuristic(m, (x, y), (100, 0)) for x, y in points]]
-        hb = [[astar_heuristic(m, (x, y), (0, 0)) for x, y in points]]
-        pf, pb = ikeda_potentials(hf, hb)
-        for f, b in zip(pf[0], pb[0]):
-            assert f + b == pytest.approx(0.0, abs=1e-12)
-
-    def test_reduced_weights_non_negative(self):
-        g = synth_terrain(6, 10, 7, 4.0)
-        mask = simple_height_mask(g, 1.0, 1)
-        m = CostModel()
-        coster = EdgeCoster(g, m)
-        dxy = g.dxy
-        hf = [[astar_heuristic(m, (x * dxy, y * dxy), (90.0, 30.0)) for x in range(10)] for y in range(7)]
-        hb = [[astar_heuristic(m, (x * dxy, y * dxy), (0.0, 30.0)) for x in range(10)] for y in range(7)]
-        pf, _ = ikeda_potentials(hf, hb)
-        from corridor.graph import successors3do
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            x, y = int(rng.integers(0, 10)), int(rng.integers(0, 7))
-            lo, hi = int(mask.z_lo[y, x]), int(mask.z_hi[y, x])
-            u = AugVertex(x, y, int(rng.integers(lo, hi + 1)), int(rng.integers(0, 8)), 0)
-            for w in successors3do(g, u, mask):
-                reduced = coster(u, w) - pf[u.y][u.x] + pf[w.y][w.x]
-                assert reduced >= -1e-9
 
 
 # A rate of inf priced a flat move as NaN, and dijkstra returned a path whose

@@ -7,14 +7,14 @@ chains and which obey the side's dissimilarity and cost rules.
 
 import itertools
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corridor import CostModel
-from corridor.cost import EdgeCoster, straight_line_rows
+from corridor.cost import EdgeCoster
 from corridor.dissimilarity import Profile, area_cells, cost_bar
-from corridor.search import SearchStats, _LabelSide, _settles, dijkstra
+from corridor.graph import AugVertex
+from corridor.search import SearchStats, _Label, _LabelSide, _settles, dijkstra
 from corridor.terrain import synth_terrain
 
 from conftest import one_label_path
@@ -38,11 +38,13 @@ def test_kspa_with_one_label_is_dijkstra(inst):
 
 def exhausted_side(inst, cap, min_diff, max_diff, keyed, forward):
     """A label side from ``src`` (``dst`` if not ``forward``) run until its
-    heap is empty."""
+    heap is empty, keyed, if ``keyed``, by the A* potential to its far end
+    as in ``kspa`` and ``hybrid``."""
     grid, model, mask, src, dst = inst
     origin, goal = (src, dst) if forward else (dst, src)
-    rows = straight_line_rows(grid, model, goal) if keyed else None
-    side = _LabelSide(grid, mask, EdgeCoster(grid, model), origin, forward, cap, min_diff, max_diff, rows)
+    coster = EdgeCoster(grid, model)
+    rows = coster.astar_potential(mask, goal) if keyed else None
+    side = _LabelSide(grid, mask, coster, origin, forward, cap, min_diff, max_diff, rows)
     for _ in _settles(side, SearchStats(), None, None):
         pass
     return side
@@ -79,12 +81,27 @@ def test_forward_labels_keep_the_cost_bar(inst, cap, min_diff, max_diff, keyed):
     assert_within_cost_bar(exhausted_side(inst, cap, min_diff, max_diff, keyed, True), max_diff)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the cost bar is tested only when a label is offered; on a backward side a later, "
-    "cheaper label can lower it and leave held labels above it",
-)
-def test_backward_labels_keep_the_cost_bar():
-    grid = synth_terrain(0, 6, 5, 4.0)
-    side = exhausted_side((grid, CostModel(), None, (0, 2), (5, 2)), 2, 2.0, 5.0, False, False)
-    assert_within_cost_bar(side, 5.0)
+# On a backward side a later, cheaper label can lower a state's cost bar;
+# the labels it leaves above the bar are dropped.  The bar used to be tested
+# only when a label was offered, and the side of the example held labels
+# above it.
+@settings(max_examples=40, deadline=None)
+@given(small_instances(), *SIDES)
+@example((synth_terrain(0, 6, 5, 4.0), CostModel(), None, (0, 2), (5, 2)), 2, 2.0, 5.0, False)
+def test_backward_labels_keep_the_cost_bar(inst, cap, min_diff, max_diff, keyed):
+    assert_within_cost_bar(exhausted_side(inst, cap, min_diff, max_diff, keyed, False), max_diff)
+
+
+def test_a_cheaper_offer_lowers_the_bar_before_it_is_placed():
+    # Held at one backward state: A=10 and B=10.4, within 5 % of A.  An
+    # offer N=9.9, similar to both, first drops B (above 9.9 * 1.05) and
+    # then replaces A, so the state keeps its cheapest label.  Placed
+    # against both, N would have been rejected.
+    side = _LabelSide(synth_terrain(0, 6, 5, 4.0), None, None, (5, 2), False, 3, 2.0, 5.0)
+    state = AugVertex(2, 2, 0, 0, 0)
+    held = [_Label(10.0, state, None), _Label(10.4, state, None)]
+    for label in held:
+        side._push(label)
+    side._keep_dissimilar(None, state, 9.9)
+    assert [l.cost for l in side.labels[state]] == [9.9]
+    assert not any(l.alive for l in held)

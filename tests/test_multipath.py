@@ -124,8 +124,8 @@ class TestLaneFixture:
             "se": (73_304, 23_928, 7),
             "ipa": (63_616, 25_202, 5),
             "kspa": (14_175, 27_325, 14_175),
-            "bds": (110_470, 129_283, 1_009),
-            "hybrid": (131_272, 153_019, 1_052),
+            "bds": (54_478, 85_123, 1_009),
+            "hybrid": (57_137, 92_103, 1_052),
         }
 
     def test_three_criteria(self, lane_runs):
@@ -377,9 +377,14 @@ class TestDispatcher:
             MultipathConfig(ka=0)
 
     # A negative max_diff would reject the optimum itself, and a penalty
-    # width that is not positive prices no corridor or a negative one.
-    @pytest.mark.parametrize("value", [dict(max_diff=-5.0), dict(penalty_width=-5.0), dict(penalty_width=0.0)],
-                             ids=["max_diff=-5", "penalty_width=-5", "penalty_width=0"])
+    # width that is not positive prices no corridor or a negative one.  A
+    # penalty_max at or below the width stops ipa after its first search,
+    # and a negative timeout stops every algorithm before its first.
+    @pytest.mark.parametrize("value", [
+        dict(max_diff=-5.0), dict(penalty_width=-5.0), dict(penalty_width=0.0),
+        dict(penalty_max=10.0), dict(penalty_max=-5.0), dict(timeout=-1.0),
+    ], ids=["max_diff=-5", "penalty_width=-5", "penalty_width=0", "penalty_max=penalty_width",
+            "penalty_max=-5", "timeout=-1"])
     def test_config_rejects_values_that_cannot_work(self, value):
         with pytest.raises(ValueError):
             MultipathConfig(**value)

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridor import CostModel, HeightMask, MultipathConfig, TerrainGrid, bidi_engine, simple_height_mask, solve
 from corridor.cost import EdgeCoster
@@ -12,6 +14,7 @@ from corridor.search import SearchStats, _LabelSide, _settles, astar, dijkstra
 from corridor.terrain import synth_terrain
 
 from conftest import flat_grid, lane_grid
+from strategies import small_instances
 
 
 def exhaustive_best(grid, model, mask, src, dst, max_edges):
@@ -237,11 +240,57 @@ class TestBidiEngine:
     lambda g, m, mask: list(bidi_engine(g, m, mask, (0, 2), (7, 2)).events()),
     *(lambda g, m, mask, a=a: solve(g, m, mask, (0, 2), (7, 2), MultipathConfig(k=2, algorithm=a))
       for a in ("se", "ipa", "kspa", "bds", "hybrid")),
-], ids=["dijkstra", "astar", "bidi_engine", "se", "ipa", "kspa", "bds", "hybrid"])
+    # The guided engine and kspa build the planar bound before any state is seeded.
+    lambda g, m, mask: list(bidi_engine(g, m, mask, (0, 2), (7, 2), use_ikeda=True).events()),
+    *(lambda g, m, mask, a=a: solve(g, m, mask, (0, 2), (7, 2), MultipathConfig(k=2, algorithm=a, use_astar=True))
+      for a in ("kspa", "bds", "hybrid")),
+], ids=["dijkstra", "astar", "bidi_engine", "se", "ipa", "kspa", "bds", "hybrid",
+        "bidi_engine+ikeda", "kspa+astar", "bds+astar", "hybrid+astar"])
 def test_mask_of_another_shape_rejected(model, shape, run):
     mask = HeightMask(np.full(shape, -2), np.full(shape, 2))
     with pytest.raises(ValueError, match=r"mask of shape \(\d+, \d+\) on a grid of shape \(5, 8\)"):
         run(flat_grid(nx=8, ny=5), model, mask)
+
+
+def meets(inst, labels, guided, cutoff, stats=None):
+    grid, model, mask, src, dst = inst
+    eng = bidi_engine(grid, model, mask, src, dst, use_ikeda=guided, cutoff=cutoff, stats=stats,
+                      labels=labels, min_diff=12.0, max_diff=10.0)
+    return [(p.key(), p.total_cost) for p in eng.events()], eng._cutoff_bar()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(), st.sampled_from((1, 2)), st.booleans())
+def test_cutoff_keeps_every_meet_within_it(inst, labels, guided):
+    # A meet costs at least either side's key at its state, so the engine
+    # stops once both keys pass the cutoff: by then it has emitted every meet
+    # within it, and settled no key above it but the one per side whose pop
+    # ends that side.
+    grid, model, mask, src, dst = inst
+    best = dijkstra(grid, model, mask, src, dst)
+    if best is None:
+        return
+    stats = SearchStats(settle_keys=[])
+    cut, bar = meets(inst, labels, guided, 1.1 * best.total_cost, stats)
+    assert sum(key > bar for key in stats.settle_keys) <= 2
+    whole, _ = meets(inst, labels, guided, None)
+    assert cut and cut == [m for m in whole if m[1] <= bar]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances())
+def test_guided_engine_emits_the_unguided_meets(inst):
+    # One label per state: both engines settle every state within the bar
+    # at its true distance, so they make the same meets.  With several
+    # labels, which of two equal-cost labels a state keeps depends on the
+    # settle order, and on flat maps the two can keep different ones.
+    grid, model, mask, src, dst = inst
+    best = dijkstra(grid, model, mask, src, dst)
+    if best is None:
+        return
+    plain, guided = (sorted(t for _, t in meets(inst, 1, g, 1.1 * best.total_cost)[0]) for g in (False, True))
+    assert plain and len(guided) == len(plain)
+    assert guided == pytest.approx(plain, rel=1e-9, abs=0.0)
 
 
 def test_dropped_sides_are_freed_without_the_cycle_collector(model):

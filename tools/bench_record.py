@@ -1,0 +1,114 @@
+"""Record a parent commit's and a change's benchmark figures in one JSON file.
+
+Run from the repository root, with a checkout of each commit:
+
+    python3 tools/bench_record.py PARENT_DIR CHANGE_DIR -o BENCH_<n>.json
+
+For each workload of ``perfbench/run.py`` it makes ``PAIRS`` pairs of
+plain runs (``--trace 0``, with ``SEED`` and ``SECONDS``), one per
+checkout, alternating which side runs first, and records each side's
+median and quartiles per end-to-end metric, with every run's ``correct``
+flag and failure count.  Then it solves the
+cases of :func:`counts` with ``bds``, ``hybrid`` and ``kspa``, A* on and
+off, with each checkout's library, and records the deterministic counts
+(expansions, iterations, peak labels), the solved flag, the path costs and
+the CPU seconds of each solve.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("lanes", "relief-best", "relief-k3")
+PAIRS = 10  # a gain must show in nine of ten pairs
+SEED = 1
+SECONDS = 30
+COUNTED = ("bds", "hybrid", "kspa")
+
+
+def counts(checkout: str) -> dict:
+    """Solve every counted case with the library under ``checkout``/src, on
+    the benchmark's four maps with HR 1/3, and on ``lanes-9-15`` with HR 1/1."""
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(ROOT, "perfbench")]
+    import corridor
+    import run as bench
+
+    cases = [(bench.LANES_A, 3), (bench.LANES_B, 3), (bench.LANES_A, 1), (bench.RELIEF_2, 3), (bench.RELIEF_5, 3)]
+    out = {}
+    for spec, r in cases:
+        kind, *recipe = spec.recipe
+        grid = bench.lane_terrain(corridor, *recipe) if kind == "lanes" else corridor.synth_terrain(*recipe)
+        model = bench.cost_model(corridor, spec)
+        mask = corridor.simple_height_mask(grid, 1.0, r)
+        for use_astar in (True, False):
+            for alg in COUNTED:
+                cfg = corridor.MultipathConfig(algorithm=alg, use_astar=use_astar)
+                t0 = time.process_time()
+                res = corridor.solve(grid, model, mask, spec.src, spec.dst, cfg)
+                out[f"{spec.name}/hr{r}/{alg}/{'astar' if use_astar else 'plain'}"] = dict(
+                    expansions=res.expansions, iterations=res.iterations, peak_labels=res.peak_labels,
+                    solved=res.solved, costs=[repr(p.total_cost) for p in res.paths],
+                    cpu_s=round(time.process_time() - t0, 3),
+                )
+    return out
+
+
+def perfbench(checkout: str, workload: str) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(runs: list[dict]) -> dict:
+    """Median and quartiles per metric, with each run's correctness."""
+    out = {"runs": len(runs), "correct": [r["correct"] for r in runs], "failed": [r["failed"] for r in runs]}
+    for metric in runs[0]["metrics"]:
+        values = sorted(r["metrics"][metric]["value"] for r in runs)
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        out[metric] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+                       "unit": runs[0]["metrics"][metric]["unit"], "values": values}
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--counts"]:  # one checkout's counts, in a process of its own
+        print(json.dumps(counts(argv[1])))
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("-o", "--out", required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    record = {"machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+              "command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
+              "end_to_end": {}, "counts": {}}
+    for workload in WORKLOADS:
+        runs = {side: [] for side in sides}
+        for i in range(PAIRS):
+            for side in (sides if i % 2 == 0 else reversed(sides)):
+                runs[side].append(perfbench(sides[side], workload))
+                print(workload, side, json.dumps(runs[side][-1]["metrics"]), file=sys.stderr)
+        record["end_to_end"][workload] = {side: summary(r) for side, r in runs.items()}
+    for side, checkout in sides.items():
+        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--counts", checkout],
+                              capture_output=True, text=True, check=True)
+        record["counts"][side] = json.loads(done.stdout)
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
