@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .terrain import DIR8, TerrainGrid
+from .terrain import DIR8, TerrainGrid, shifted
 
 
 class AugVertex(NamedTuple):
@@ -43,16 +43,20 @@ class HeightMask:
     z_hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.z_lo, dtype=np.int64).copy()
-        hi = np.asarray(self.z_hi, dtype=np.int64).copy()
+        lo = np.asarray(self.z_lo, dtype=np.int64)
+        hi = np.asarray(self.z_hi, dtype=np.int64)
         if lo.shape != hi.shape:
             raise ValueError("mask bound arrays must have equal shape")
         if (lo > hi).any():
             raise ValueError("mask has empty columns (z_lo > z_hi)")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "z_lo", lo)
-        object.__setattr__(self, "z_hi", hi)
+        # Both bounds share one read-only int32 buffer, half the memory of two
+        # int64 arrays; callers such as the benchmark keep a mask per operation.
+        band = np.array((lo, hi), dtype=np.int32)
+        if (band != (lo, hi)).any():
+            raise ValueError("mask levels must fit in 32 bits")
+        band.setflags(write=False)
+        object.__setattr__(self, "z_lo", band[0])
+        object.__setattr__(self, "z_hi", band[1])
 
     def admits(self, x: int, y: int, z: int) -> bool:
         return self.z_lo[y, x] <= z <= self.z_hi[y, x]
@@ -167,21 +171,22 @@ def successors2do(grid: TerrainGrid, x: int, y: int, h: int) -> list[tuple[int, 
     return out
 
 
+def _offsets(shape: tuple[int, int], radius: int):
+    """The offsets (dx, dy) of the (2R+1)^2 window, clipped to those that
+    join two cells of a grid of ``shape``."""
+    ry, rx = min(radius, shape[0] - 1), min(radius, shape[1] - 1)
+    return ((dx, dy) for dy in range(-ry, ry + 1) for dx in range(-rx, rx + 1))
+
+
 def _window_extrema(z: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Max and min of z over the (2R+1)^2 window around each cell, clipped at edges."""
     wmax = z.copy()
     wmin = z.copy()
-    ny, nx = z.shape
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dx == 0 and dy == 0:
-                continue
-            xs = slice(max(0, -dx), nx - max(0, dx))
-            ys = slice(max(0, -dy), ny - max(0, dy))
-            xt = slice(max(0, dx), nx - max(0, -dx))
-            yt = slice(max(0, dy), ny - max(0, -dy))
-            np.maximum(wmax[ys, xs], z[yt, xt], out=wmax[ys, xs])
-            np.minimum(wmin[ys, xs], z[yt, xt], out=wmin[ys, xs])
+    for dx, dy in _offsets(z.shape, radius):
+        a, b = shifted(z.shape, dx, dy)
+        zb = z[b]
+        np.maximum(wmax[a], zb, out=wmax[a])
+        np.minimum(wmin[a], zb, out=wmin[a])
     return wmax, wmin
 
 
@@ -190,8 +195,8 @@ def simple_height_mask(grid: TerrainGrid, hm: float, r: int) -> HeightMask:
     relaxed to the extrema of the ground over the (2r+1)^2 surrounding window
     so that abrupt elevation changes nearby stay connectable.  Bounds snap
     outward to whole z levels, so the band never under-covers."""
-    if hm < 0 or r < 0:
-        raise ValueError("hm and r must be non-negative")
+    if not 0 <= hm < math.inf or r < 0:
+        raise ValueError("hm must be non-negative and finite, and r non-negative")
     z = np.asarray(grid.z, dtype=float)
     wmax, wmin = _window_extrema(z, r)
     return _snapped(grid, np.minimum(wmin, z - hm), np.maximum(wmax, z + hm))
@@ -225,56 +230,54 @@ def expanding_height_mask(
     rises more than ``hi`` above the line have their floor lowered to the line
     elevation, keeping a direct cut through the obstacle admissible.
     """
-    if hi <= 0:
-        raise ValueError("hi must be positive")
-    if max_grade <= 0:
+    if not 0 < hi < math.inf:
+        raise ValueError("hi must be positive and finite")
+    if not max_grade > 0:
         raise ValueError("max_grade must be positive")
     z = np.asarray(grid.z, dtype=float)
-    ny, nx = z.shape
     hi_elev = z + hi
     lo_elev = z - hi
 
-    # Rule 1: scan the four unique adjacency directions for over-grade steps.
-    for h in (0, 1, 2, 3):
-        dx, dy = DIR8[h]
+    # Rule 1: each cell's highest over-grade neighbor above (top) and lowest
+    # below (base), the cell itself where it has none.  The step to either has
+    # the longest ramp and the most extreme target of all the cell's steps, so
+    # its disc covers theirs; a ramp of 0 leaves the band as it is.
+    top = z.copy()
+    base = z.copy()
+    for h, (dx, dy) in enumerate(DIR8):
+        a, b = shifted(z.shape, dx, dy)
+        za, zb = z[a], z[b]
         run = grid.dxy * (math.sqrt(2.0) if h % 2 else 1.0)
-        for y in range(ny):
-            yb = y + dy
-            if not (0 <= yb < ny):
-                continue
-            for x in range(nx):
-                xb = x + dx
-                if not (0 <= xb < nx):
-                    continue
-                za, zb = z[y, x], z[yb, xb]
-                step = zb - za
-                if abs(step) / run <= max_grade:
-                    continue
-                if step > 0:
-                    low_xy, high_xy = (x, y), (xb, yb)
-                    z_base, z_top = za, zb
-                else:
-                    low_xy, high_xy = (xb, yb), (x, y)
-                    z_base, z_top = zb, za
-                ramp_m = (z_top - z_base) / max_grade
-                rad = int(math.ceil(ramp_m / grid.dxy))
-                _clamp_within(hi_elev, low_xy, rad, z_top + hi, grid.dxy, ramp_m, True)
-                _clamp_within(lo_elev, high_xy, rad, z_base - hi, grid.dxy, ramp_m, False)
+        end = np.where(np.abs(zb - za) / run > max_grade, zb, za)
+        np.maximum(top[a], end, out=top[a])
+        np.minimum(base[a], end, out=base[a])
+    ramp_up = (top - z) / max_grade
+    ramp_dn = (z - base) / max_grade
+    rad_up = np.ceil(ramp_up / grid.dxy)
+    rad_dn = np.ceil(ramp_dn / grid.dxy)
+    reach = max(ramp_up.max(), ramp_dn.max())
+    for ox, oy in _offsets(z.shape, math.ceil(reach / grid.dxy)):
+        dist = math.hypot(ox, oy) * grid.dxy
+        if dist > reach:
+            continue
+        box = max(abs(ox), abs(oy))
+        a, b = shifted(z.shape, ox, oy)
+        up = (ramp_up[a] >= dist) & (rad_up[a] >= box)
+        dn = (ramp_dn[a] >= dist) & (rad_dn[a] >= box)
+        np.maximum(hi_elev[b], np.where(up, top[a] + hi, -math.inf), out=hi_elev[b])
+        np.minimum(lo_elev[b], np.where(dn, base[a] - hi, math.inf), out=lo_elev[b])
 
     # Rule 2: admit the straight source-destination line through blocking ridges.
     if src is not None and dst is not None:
-        sx, sy = src
-        dx_, dy_ = dst
+        (sx, sy), (tx, ty) = src, dst
+        steps = max(abs(tx - sx), abs(ty - sy)) * 2
+        t = np.arange(steps + 1) / max(steps, 1)
+        cx = np.rint(sx + t * (tx - sx)).astype(np.int64)
+        cy = np.rint(sy + t * (ty - sy)).astype(np.int64)
         zs = float(z[sy, sx])
-        zd = float(z[dy_, dx_])
-        steps = max(abs(dx_ - sx), abs(dy_ - sy)) * 2
-        for k in range(steps + 1):
-            t = k / steps if steps else 0.0
-            cx = int(round(sx + t * (dx_ - sx)))
-            cy = int(round(sy + t * (dy_ - sy)))
-            z_line = zs + t * (zd - zs)
-            if z[cy, cx] > z_line + hi:
-                lo_elev[cy, cx] = min(lo_elev[cy, cx], z_line)
+        z_line = zs + t * (float(z[ty, tx]) - zs)
+        cut = z[cy, cx] > z_line + hi
+        np.minimum.at(lo_elev, (cy[cut], cx[cut]), z_line[cut])
 
     return _snapped(grid, lo_elev, hi_elev)
 
@@ -295,19 +298,6 @@ def height_mask(grid: TerrainGrid, kind: str, hm: float, r: int, hi: float, max_
     if kind == "none":
         return None
     raise ValueError(f"unknown mask kind {kind!r}")
-
-
-def _clamp_within(elev, center, rad, target, dxy, ramp_m, up: bool):
-    """Raise (``up``) or lower every cell of ``elev`` within ``ramp_m``
-    meters of ``center`` to ``target``; cells already past it stay."""
-    cx, cy = center
-    ny, nx = elev.shape
-    for y in range(max(0, cy - rad), min(ny, cy + rad + 1)):
-        row = elev[y]
-        for x in range(max(0, cx - rad), min(nx, cx + rad + 1)):
-            if math.hypot(x - cx, y - cy) * dxy <= ramp_m:
-                if (row[x] < target) if up else (row[x] > target):
-                    row[x] = target
 
 
 def graph_stats(

@@ -157,18 +157,22 @@ DIR8: tuple[tuple[int, int], ...] = (
 _SQRT2 = math.sqrt(2.0)
 
 
+def shifted(shape: tuple[int, int], dx: int, dy: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """Index pair ``(a, b)`` into arrays of ``shape`` (ny, nx): ``arr[b]`` is
+    the neighbor at offset (dx, dy) of each cell of ``arr[a]``.  Both select
+    nothing once the offset leaves the grid."""
+    ny, nx = shape
+    return ((slice(max(0, -dy), max(0, ny - dy)), slice(max(0, -dx), max(0, nx - dx))),
+            (slice(max(0, dy), max(0, ny + dy)), slice(max(0, dx), max(0, nx + dx))))
+
+
 def _steepest_grades(grid: TerrainGrid) -> np.ndarray:
     """:func:`max_grade` of every vertex, as an array of shape (ny, nx)."""
     m = np.zeros((grid.ny, grid.nx), dtype=float)
     z = grid.z
     for h, (dx, dy) in enumerate(DIR8):
-        run = grid.dxy * (_SQRT2 if h % 2 else 1.0)
-        xs = slice(max(0, -dx), grid.nx - max(0, dx))
-        ys = slice(max(0, -dy), grid.ny - max(0, dy))
-        xt = slice(max(0, dx), grid.nx - max(0, -dx))
-        yt = slice(max(0, dy), grid.ny - max(0, -dy))
-        g = np.abs(z[yt, xt] - z[ys, xs]) / run
-        np.maximum(m[ys, xs], g, out=m[ys, xs])
+        a, b = shifted(z.shape, dx, dy)
+        np.maximum(m[a], np.abs(z[b] - z[a]) / (grid.dxy * (_SQRT2 if h % 2 else 1.0)), out=m[a])
     return m
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from corridor import CostModel, MultipathConfig, load_grid, save_grid, simple_height_mask
+from corridor import CostModel, MultipathConfig, load_grid, save_grid, simple_height_mask, synth_terrain
 from corridor.bench import BenchSolver
 from corridor.cli import _bool, _build, main, parse_config, BENCH_DEFAULTS, MASK_KEYS, SOLVE_DEFAULTS
 from corridor.pathio import read_path_set
@@ -102,6 +102,30 @@ class TestSolve:
         assert main(["solve", str(cfg)]) == 1
         assert f"{key} must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    # hm = nan or inf and hi = nan used to reach the solver, which failed
+    # inside A*'s planar bound ("repeats may not contain negative values").
+    @pytest.mark.parametrize("lines, message", [
+        ("hm = nan\n", "hm must be non-negative and finite"),
+        ("hm = inf\n", "hm must be non-negative and finite"),
+        ("mask = ehr\nhi = nan\n", "hi must be positive and finite"),
+    ])
+    def test_non_finite_band_rejected(self, lane_setup, lines, message, capsys):
+        _, cfg, out = lane_setup
+        cfg.write_text(cfg.read_text() + lines)
+        assert main(["solve", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # A window wider than the map used to exit 1 with numpy's broadcast error.
+    def test_window_wider_than_the_map(self, tmp_path):
+        grid_path = tmp_path / "m.grid"
+        save_grid(synth_terrain(3, 20, 10, 5.0), grid_path)
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"grid = {grid_path}\nsrc = 0,5\ndst = 19,5\nalgorithm = bds\nastar = yes\n"
+                       f"k = 2\nr = 30\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["solve", str(cfg)]) in (0, 2)
+        assert (tmp_path / "out" / "summary.json").exists()
 
     def test_unknown_boolean_rejected(self, lane_setup, capsys):
         _, cfg, _ = lane_setup

@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corridor import TerrainGrid, expanding_height_mask, graph_stats, simple_height_mask
 from corridor.graph import (
     AugVertex,
+    HeightMask,
+    _snapped,
     flip_state,
     ground_z_index,
     rev_successors3do,
     successors2do,
     successors3do,
 )
-from corridor.terrain import synth_terrain
+from corridor.terrain import DIR8, synth_terrain
 
 from strategies import small_instances
 
@@ -179,6 +184,144 @@ class TestExpandingHeightMask:
         m = expanding_height_mask(g, 0.5, 0.10)
         assert np.all(m.z_lo * g.dz <= g.z + 1e-9)
         assert np.all(m.z_hi * g.dz >= g.z - 1e-9)
+
+
+class TestBandSettings:
+    def test_window_wider_than_the_grid(self):
+        # A window at or past the grid's extent covers the whole grid from
+        # every cell; it used to raise numpy's broadcast error.
+        g = synth_terrain(1, 5, 4, 3.0)
+        full = simple_height_mask(g, 1.0, max(g.nx, g.ny) - 1)
+        for r in (max(g.nx, g.ny), 9, 1000):
+            m = simple_height_mask(g, 1.0, r)
+            assert np.array_equal(m.z_lo, full.z_lo) and np.array_equal(m.z_hi, full.z_hi)
+        assert np.all(full.z_lo * g.dz <= g.z.min()) and np.all(full.z_hi * g.dz >= g.z.max())
+
+    # NaN and inf used to pass the sign checks; numpy then warned about the
+    # cast and A* failed inside its planar bound.
+    @pytest.mark.parametrize("build, args", [
+        (simple_height_mask, (math.nan, 1)),
+        (simple_height_mask, (math.inf, 1)),
+        (simple_height_mask, (-1.0, 1)),
+        (simple_height_mask, (1.0, -1)),
+        (expanding_height_mask, (math.nan, 0.1)),
+        (expanding_height_mask, (math.inf, 0.1)),
+        (expanding_height_mask, (0.0, 0.1)),
+        (expanding_height_mask, (0.5, math.nan)),
+        (expanding_height_mask, (0.5, 0.0)),
+    ])
+    def test_rejects_bad_settings(self, build, args):
+        with pytest.raises(ValueError, match="must be"):
+            build(synth_terrain(1, 5, 4, 3.0), *args)
+
+    def test_mask_holds_one_read_only_int32_band(self):
+        m = simple_height_mask(synth_terrain(1, 5, 4, 3.0), 1.0, 1)
+        assert m.z_lo.dtype == m.z_hi.dtype == np.int32
+        assert m.z_lo.base is m.z_hi.base and not m.z_lo.base.flags.writeable
+        with pytest.raises(ValueError, match="32 bits"):
+            HeightMask(np.zeros((2, 2)), np.full((2, 2), 2**31))
+
+
+# The per-cell loops the mask builders ran before they became array code,
+# kept as references: the window of simple_height_mask, and both rules of
+# expanding_height_mask with the disc fill it called _clamp_within.
+
+def _scalar_window_mask(grid, hm, r):
+    z = grid.z
+    lo, hi = np.empty_like(z), np.empty_like(z)
+    for y in range(grid.ny):
+        for x in range(grid.nx):
+            win = z[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1]
+            lo[y, x] = min(win.min(), z[y, x] - hm)
+            hi[y, x] = max(win.max(), z[y, x] + hm)
+    return _snapped(grid, lo, hi)
+
+
+def _clamp_within(elev, center, rad, target, dxy, ramp_m, up):
+    cx, cy = center
+    ny, nx = elev.shape
+    for y in range(max(0, cy - rad), min(ny, cy + rad + 1)):
+        for x in range(max(0, cx - rad), min(nx, cx + rad + 1)):
+            if math.hypot(x - cx, y - cy) * dxy <= ramp_m:
+                if (elev[y, x] < target) if up else (elev[y, x] > target):
+                    elev[y, x] = target
+
+
+def _scalar_expanding_mask(grid, hi, max_grade, src, dst):
+    z = grid.z
+    hi_elev, lo_elev = z + hi, z - hi
+    for h in (0, 1, 2, 3):
+        dx, dy = DIR8[h]
+        run = grid.dxy * (math.sqrt(2.0) if h % 2 else 1.0)
+        for y in range(grid.ny):
+            for x in range(grid.nx):
+                xb, yb = x + dx, y + dy
+                if not (0 <= xb < grid.nx and 0 <= yb < grid.ny):
+                    continue
+                step = z[yb, xb] - z[y, x]
+                if abs(step) / run <= max_grade:
+                    continue
+                low, high = ((x, y), (xb, yb)) if step > 0 else ((xb, yb), (x, y))
+                z_base, z_top = z[low[1], low[0]], z[high[1], high[0]]
+                ramp_m = (z_top - z_base) / max_grade
+                rad = int(math.ceil(ramp_m / grid.dxy))
+                _clamp_within(hi_elev, low, rad, z_top + hi, grid.dxy, ramp_m, True)
+                _clamp_within(lo_elev, high, rad, z_base - hi, grid.dxy, ramp_m, False)
+    if src is not None and dst is not None:
+        (sx, sy), (tx, ty) = src, dst
+        zs, zd = float(z[sy, sx]), float(z[ty, tx])
+        steps = max(abs(tx - sx), abs(ty - sy)) * 2
+        for k in range(steps + 1):
+            t = k / steps if steps else 0.0
+            cx, cy = int(round(sx + t * (tx - sx))), int(round(sy + t * (ty - sy)))
+            z_line = zs + t * (zd - zs)
+            if z[cy, cx] > z_line + hi:
+                lo_elev[cy, cx] = min(lo_elev[cy, cx], z_line)
+    return _snapped(grid, lo_elev, hi_elev)
+
+
+@st.composite
+def cliff_cases(draw):
+    """A small grid of a few elevation levels plus noise, with endpoints
+    (sometimes equal), a window radius up to past the grid and band settings.
+    The levels lie on a flat base, either as one lifted block or scattered
+    over the cells; whole levels over dyadic spacings and grades now and
+    then put a cell exactly one ramp length from a cliff."""
+    nx, ny = draw(st.integers(2, 10)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.choice((0.0, 1.0, 2.0, 5.0, 12.0), size=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        z = np.full((ny, nx), levels[0])
+        x0, y0 = rng.integers(nx), rng.integers(ny)
+        z[y0:y0 + rng.integers(1, ny + 1), x0:x0 + rng.integers(1, nx + 1)] = levels[-1]
+    else:
+        z = rng.choice(levels, size=(ny, nx))
+    z = z + draw(st.sampled_from((0.0, 0.0, 0.01, 0.3))) * rng.standard_normal((ny, nx))
+    grid = TerrainGrid(nx=nx, ny=ny, dxy=draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))),
+                       dz=draw(st.sampled_from((0.25, 0.5, 1.0))), z=z)
+    src = (draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)))
+    dst = src if draw(st.booleans()) else (draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)))
+    return (grid, src, dst, draw(st.sampled_from((0.0, 0.5, 2.0))), draw(st.integers(0, max(nx, ny) + 3)),
+            draw(st.sampled_from((0.25, 0.5, 3.0))), draw(st.sampled_from((0.1, 0.25, 0.5, 1.0, 2.0))))
+
+
+# A straight 1 m cliff at 50% grade: the columns exactly one ramp length
+# (2 m) from its foot and from its top lie on the edge of their discs.
+_CLIFF = TerrainGrid(nx=8, ny=4, dxy=1.0, dz=1.0, z=np.repeat([[0.0] * 5 + [1.0] * 3], 4, axis=0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cliff_cases())
+@example((_CLIFF, (0, 1), (7, 2), 0.5, 9, 0.5, 0.5))
+def test_masks_equal_the_scalar_loops(case):
+    grid, src, dst, hm, r, hi, max_grade = case
+    for got, want in (
+        (simple_height_mask(grid, hm, r), _scalar_window_mask(grid, hm, r)),
+        (expanding_height_mask(grid, hi, max_grade), _scalar_expanding_mask(grid, hi, max_grade, None, None)),
+        (expanding_height_mask(grid, hi, max_grade, src=src, dst=dst),
+         _scalar_expanding_mask(grid, hi, max_grade, src, dst)),
+    ):
+        assert np.array_equal(got.z_lo, want.z_lo) and np.array_equal(got.z_hi, want.z_hi)
 
 
 class TestGraphStats:
