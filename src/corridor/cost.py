@@ -214,29 +214,46 @@ def unit_move_prices(
 
 def _move_prices(model, g0, gm, g1, length_2d, r0, r1) -> np.ndarray:
     """:func:`unit_move_prices` from ground elevations at the start, middle
-    and end of each move, its planar length and its road elevations."""
-    rm = 0.5 * (r0 + r1)
+    and end of each move, its planar length and its road elevations.
+
+    The in-place forms keep fewer arrays alive; each element still goes
+    through the operations of :meth:`EdgeCoster._compute` in its order."""
     half = 0.5 * length_2d
+    mid = r0 + r1
+    mid *= 0.5
+    mid -= gm
     cut = np.zeros(np.shape(r0))
     fill = np.zeros(np.shape(r0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for da, db in ((r0 - g0, rm - gm), (rm - gm, r1 - g1)):
+        for da, db in ((r0 - g0, mid), (mid, r1 - g1)):
             same_side = da * db >= 0.0
-            s_cross = half * da / (da - db)
+            s_cross = da - db
+            np.divide(half * da, s_cross, out=s_cross)
             # One area when the piece stays on one side of the ground, else
             # the two triangles either side of the crossing, in that order.
-            a0 = np.where(same_side, 0.5 * (da + db) * half, 0.5 * da * s_cross)
-            a1 = np.where(same_side, 0.0, 0.5 * db * (half - s_cross))
+            a0 = da + db
+            a0 *= 0.5
+            a0 *= half
+            a1 = da * 0.5
+            a1 *= s_cross
+            np.copyto(a0, a1, where=~same_side)
+            np.subtract(half, s_cross, out=s_cross)
+            np.multiply(db, 0.5, out=a1)
+            a1 *= s_cross
+            a1[same_side] = 0.0
             for a in (a0, a1):
                 above = a >= 0.0
-                fill = fill + np.where(above, a, 0.0)
-                cut = cut - np.where(above, 0.0, a)
-    length_3d = np.hypot(length_2d, r1 - r0)
-    return (
-        model.paving_rate * length_3d
-        + model.cut_rate * cut * model.road_width
-        + model.fill_rate * fill * model.road_width
-    )
+                fill += np.where(above, a, 0.0)
+                cut -= np.where(above, 0.0, a)
+    price = np.hypot(length_2d, r1 - r0)
+    price *= model.paving_rate
+    cut *= model.cut_rate
+    cut *= model.road_width
+    price += cut
+    fill *= model.fill_rate
+    fill *= model.road_width
+    price += fill
+    return price
 
 
 # Relative slack taken off every relaxed move price.  It covers the last-bit
@@ -244,6 +261,10 @@ def _move_prices(model, g0, gm, g1, length_2d, r0, r1) -> np.ndarray:
 # stays below every edge price in floating point and not only in exact
 # arithmetic.
 _BOUND_SLACK = 1e-12
+
+# Cells priced at once by :func:`planar_bound`; a taller column is a block of
+# its own.  A block's temporaries take about 170 bytes a cell.
+_BLOCK_CELLS = 4096
 
 
 def planar_bound(
@@ -262,59 +283,16 @@ def planar_bound(
     """
     check_mask_shape(grid, mask)
     nx, ny = grid.nx, grid.ny
-    lo = np.full((ny, nx), grid.z_min_index, dtype=np.int64)
-    hi = np.full((ny, nx), grid.z_max_index, dtype=np.int64)
-    if mask is not None:
-        lo = np.maximum(lo, mask.z_lo)
-        hi = np.minimum(hi, mask.z_hi)
-    lo, hi = lo.ravel(), hi.ravel()
-    # Every admissible (x, y, z) cell, grouped by flat column index.
-    sizes = hi - lo + 1
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    col = np.repeat(np.arange(nx * ny), sizes)
-    cz = lo[col] + np.arange(col.size) - starts[col]
-    cx, cy = col % nx, col // nx
-    ground = grid.z.ravel()
-    g0 = ground[col]
-    r0 = cz * grid.dz
-
-    # Moves along the first four headings; the other four are their reversals.
-    # The smaller end of a move is its start, except on heading (-1, 1).
-    offsets: list[int] = []
-    weights: list[np.ndarray] = []
-    for dx, dy in DIR8[:4]:
-        tx, ty = cx + dx, cy + dy
-        on = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
-        tcol = np.where(on, ty * nx + tx, col)
-        g1 = ground[tcol]
-        if dx and dy:
-            # The two corners off the move, summed in the priced direction's order.
-            a, b = ground[cy * nx + np.where(on, tx, cx)], ground[np.where(on, ty, cy) * nx + cx]
-            gm = 0.25 * (g0 + g1 + a + b) if dx > 0 else 0.25 * (g1 + g0 + b + a)
-            length_2d = grid.dxy * 1.4142135623730951
-        else:
-            gm = 0.5 * (g0 + g1)
-            length_2d = grid.dxy
-        best = np.full(col.size, np.inf)
-        for step in (-1, 0, 1):
-            tz = cz + step
-            i = np.nonzero(on & (tz >= lo[tcol]) & (tz <= hi[tcol]))[0]
-            ga, gb, r1 = g0[i], g1[i], tz[i] * grid.dz
-            if dx >= 0:
-                price = _move_prices(model, ga, gm[i], gb, length_2d, r0[i], r1)
-            else:
-                price = _move_prices(model, gb, gm[i], ga, length_2d, r1, r0[i])
-            best[i] = np.minimum(best[i], price)
-        w = np.minimum.reduceat(best, starts) * (1.0 - _BOUND_SLACK)
+    # Moves along the first four headings, then their reversals.
+    edges: list[tuple[int, list[float]]] = []
+    for (dx, dy), w in zip(DIR8, _move_weights(grid, model, mask)):
         back = np.full(nx * ny, np.inf)
         ok = np.nonzero(np.isfinite(w))[0]
         back[ok + dy * nx + dx] = w[ok]
-        offsets += [dy * nx + dx, -(dy * nx + dx)]
-        weights += [w, back]
+        edges += [(dy * nx + dx, w.tolist()), (-(dy * nx + dx), back.tolist())]
 
     # Reverse Dijkstra from dst; the relaxed graph is undirected.
     inf = math.inf
-    edges = [(off, w.tolist()) for off, w in zip(offsets, weights)]
     dist = [inf] * (nx * ny)
     t = dst[1] * nx + dst[0]
     dist[t] = 0.0
@@ -333,6 +311,76 @@ def planar_bound(
                 dist[j] = nd
                 heapq.heappush(heap, (nd, j))
     return np.array(dist).reshape(ny, nx)
+
+
+def _move_weights(grid: TerrainGrid, model: CostModel, mask: Optional[HeightMask]) -> list[np.ndarray]:
+    """Per flat column and per heading of ``DIR8[:4]``, the relaxed price of
+    the move to the next column (inf where there is none).
+
+    The admissible (x, y, z) cells are priced in blocks of whole columns, at
+    most :data:`_BLOCK_CELLS` cells a block, so temporaries grow with the grid
+    and not with the band.
+    """
+    n = grid.nx * grid.ny
+    lo = np.full(n, grid.z_min_index, dtype=np.int64)
+    hi = np.full(n, grid.z_max_index, dtype=np.int64)
+    if mask is not None:
+        np.maximum(lo, mask.z_lo.ravel(), out=lo)
+        np.minimum(hi, mask.z_hi.ravel(), out=hi)
+    sizes = hi - lo + 1
+    ends = np.cumsum(sizes)
+    ground = grid.z.ravel()
+    col = np.arange(n)
+    cx, cy = col % grid.nx, col // grid.nx
+
+    # What depends only on the start column, per heading: the band of the
+    # target column (empty off the grid), its ground and the ground at the
+    # move's middle.  The smaller end of a move is its start, except on
+    # heading (-1, 1), which is priced from its target.
+    headings = []
+    for dx, dy in DIR8[:4]:
+        tx, ty = cx + dx, cy + dy
+        on = (tx >= 0) & (tx < grid.nx) & (ty >= 0) & (ty < grid.ny)
+        tcol = np.where(on, ty * grid.nx + tx, col)
+        g1 = ground[tcol]
+        if dx and dy:
+            # The two corners off the move, summed in the priced direction's order.
+            a = ground[cy * grid.nx + np.where(on, tx, cx)]
+            b = ground[np.where(on, ty, cy) * grid.nx + cx]
+            gm = 0.25 * (ground + g1 + a + b) if dx > 0 else 0.25 * (g1 + ground + b + a)
+            length_2d = grid.dxy * 1.4142135623730951
+        else:
+            gm = 0.5 * (ground + g1)
+            length_2d = grid.dxy
+        band = np.where(on, lo[tcol], 1), np.where(on, hi[tcol], 0)
+        headings.append((dx >= 0, band, g1, gm, length_2d, np.empty(n)))
+
+    start = 0
+    while start < n:
+        # Whole columns from ``start`` on; the first one even if it is taller.
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK_CELLS, side="right")))
+        firsts = ends[start:stop] - sizes[start:stop] - base
+        c = np.repeat(col[start:stop], sizes[start:stop])
+        cz = lo[c] + np.arange(c.size) - firsts[c - start]
+        g0 = ground[c]
+        r0 = cz * grid.dz
+        for forward, (t_lo, t_hi), g1, gm, length_2d, w in headings:
+            t_lo, t_hi, gt, gmid = t_lo[c], t_hi[c], g1[c], gm[c]
+            best = np.full(c.size, np.inf)
+            for step in (-1, 0, 1):
+                # Every cell is priced; only the moves that land in the
+                # target's band count.
+                tz = cz + step
+                r1 = tz * grid.dz
+                if forward:
+                    price = _move_prices(model, g0, gmid, gt, length_2d, r0, r1)
+                else:
+                    price = _move_prices(model, gt, gmid, g0, length_2d, r1, r0)
+                np.minimum(best, price, out=best, where=(tz >= t_lo) & (tz <= t_hi))
+            w[start:stop] = np.minimum.reduceat(best, firsts) * (1.0 - _BOUND_SLACK)
+        start = stop
+    return [h[-1] for h in headings]
 
 
 def astar_heuristic(model: CostModel, p: tuple[float, float], dest: tuple[float, float]) -> float:

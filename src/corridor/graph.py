@@ -90,8 +90,8 @@ def z_bounds(grid: TerrainGrid, mask: Optional[HeightMask], x: int, y: int) -> t
     zmin, zmax = grid.z_min_index, grid.z_max_index
     if mask is None:
         return zmin, zmax
-    lo = int(mask.z_lo[y, x])
-    hi = int(mask.z_hi[y, x])
+    lo = mask.z_lo.item(y, x)
+    hi = mask.z_hi.item(y, x)
     return (lo if lo > zmin else zmin), (hi if hi < zmax else zmax)
 
 
@@ -228,12 +228,16 @@ def expanding_height_mask(
     Rule 2 (straight-through cuts): when ``src`` and ``dst`` grid coordinates
     are given, columns on the straight sight-line between them whose ground
     rises more than ``hi`` above the line have their floor lowered to the line
-    elevation, keeping a direct cut through the obstacle admissible.
+    elevation, keeping a direct cut through the obstacle admissible.  An
+    endpoint off the grid raises ``ValueError``.
     """
     if not 0 < hi < math.inf:
         raise ValueError("hi must be positive and finite")
     if not max_grade > 0:
         raise ValueError("max_grade must be positive")
+    for name, point in (("src", src), ("dst", dst)):
+        if point is not None and not (0 <= point[0] < grid.nx and 0 <= point[1] < grid.ny):
+            raise ValueError(f"{name} {tuple(point)} outside grid")
     z = np.asarray(grid.z, dtype=float)
     hi_elev = z + hi
     lo_elev = z - hi

@@ -255,10 +255,14 @@ def _single_source(
     rows = coster.astar_potential(mask, dst, build=False) if guided else None
     switch_at = -1
     if guided and rows is None:
-        # Start on the straight-line bound; the planar field pays for
-        # itself only once the query has done about as much work.
+        # Start on the straight-line bound and build the planar field once
+        # the query has spent about what a build costs (the ski-rental rule):
+        # one build takes as long as nx*ny/2 to nx*ny/6 cold straight-line
+        # settles on the benchmark maps, so switch after nx*ny/4.  A query
+        # that ends sooner, like the 76-settle ones on the lane maps, never
+        # pays for a field.
         rows = straight_line_rows(grid, model, dst)
-        switch_at = grid.nx * grid.ny
+        switch_at = grid.nx * grid.ny // 4
     sweep = _Sweep(grid, mask, coster, src, rows=rows, edge_filter=edge_filter, penalty=penalty)
     dst_x, dst_y = dst
     dst_z = ground_z_index(grid, dst_x, dst_y)
@@ -318,11 +322,11 @@ def astar(
     lower bound on the remaining cost, so it never settles more states.
 
     A query starts on the straight-line paving bound.  Once it has settled
-    as many states as the grid has columns, it builds the planar bound
-    (:func:`corridor.cost.planar_bound`, which also prices earthwork) and
-    continues on the larger of the two.  The field is memoised on
-    ``coster`` per (mask, dst), so later queries that share the coster use
-    it from their first settle.  Filters only remove edges, so both bounds
+    a quarter as many states as the grid has columns, about what one build
+    costs, it builds the planar bound (:func:`corridor.cost.planar_bound`,
+    which also prices earthwork) and continues on the larger of the two.
+    The field is memoised on ``coster`` per (mask, dst), so later queries
+    that share the coster use it from their first settle.  Filters only remove edges, so both bounds
     hold under any ``edge_filter``.  Neither holds under a negative
     ``penalty``, which raises ``ValueError`` as in :func:`dijkstra`.
     """

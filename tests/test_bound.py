@@ -1,22 +1,30 @@
 """Properties of the relaxed planar lower bound that guides A*.
 
-Random small grids, masks (none, HR, EHR) and destinations.  On grids this
-small almost every query settles more states than the grid has columns, so
-the searches below run across the switch to the planar field.
+Random small grids, masks (none, HR, EHR) and destinations.  A guided query
+builds the field once it has settled a quarter as many states as the grid
+has columns.  On grids this small almost every query gets that far, so the
+searches below run across the switch to the planar field.  The field built
+in column blocks is checked against the whole-band build it replaced.
 """
 
+import dataclasses
+import heapq
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corridor import expanding_height_mask, simple_height_mask
-from corridor.cost import EdgeCoster, astar_heuristic, planar_bound, straight_line_rows, unit_move_prices
+from corridor import cost, expanding_height_mask, simple_height_mask
+from corridor.cost import CostModel, EdgeCoster, astar_heuristic, planar_bound, straight_line_rows, unit_move_prices
 from corridor.graph import AugVertex, z_bounds
 from corridor.search import SearchStats, astar, dijkstra
 from corridor.terrain import DIR8, synth_terrain
 
+from conftest import LANES_DST, LANES_SRC
 from strategies import small_instances
 
 
@@ -88,6 +96,9 @@ def test_vector_pricer_matches_scalar(inst):
     coster = EdgeCoster(grid, model)
     want = np.array([coster._compute(*m) for m in moves.tolist()])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1e-300))
+    # The in-place pricer rounds exactly as the one it replaced.
+    with mock.patch.object(cost, "_move_prices", _whole_band_move_prices):
+        assert np.array_equal(got, unit_move_prices(grid, model, *moves.T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,22 +127,37 @@ def test_switch_on_relief(kind, model):
     sd, sa = SearchStats(), SearchStats(settle_keys=[])
     pd = dijkstra(grid, model, mask, src, dst, stats=sd)
     pa = astar(grid, model, mask, src, dst, stats=sa)
-    assert sa.expansions > grid.nx * grid.ny, "the query never reached the switch"
-    # 861 settles under either mask; left on their straight-line keys, the
-    # open states at the switch would drag it to about 3,000.
-    assert sa.expansions < 1.25 * grid.nx * grid.ny
+    switch = grid.nx * grid.ny // 4
+    assert sa.expansions > switch, "the query never reached the switch"
+    # 268 settles under either mask; left on their straight-line keys, the
+    # open states at the switch would drag it to about 1,000.
+    assert sa.expansions < 1.5 * switch
     assert pa.total_cost == pytest.approx(pd.total_cost, rel=1e-12)
     assert sa.expansions <= sd.expansions
     keys = sa.settle_keys
     assert all(a <= b for a, b in zip(keys, keys[1:]))
 
 
-def test_field_memoised_per_mask_and_dst(model, monkeypatch):
-    import corridor.cost as cost
-
+def count_builds(monkeypatch) -> list:
+    """Patch :func:`corridor.cost.planar_bound` to log the (mask, dst) of
+    each build it makes."""
     builds = []
     build = cost.planar_bound
     monkeypatch.setattr(cost, "planar_bound", lambda *a: builds.append(a[2:]) or build(*a))
+    return builds
+
+
+def test_short_query_builds_no_field(lanes, lane_model, lanes_mask, monkeypatch):
+    # A build would cost several times this whole query.
+    builds = count_builds(monkeypatch)
+    stats = SearchStats()
+    path = astar(lanes, lane_model, lanes_mask, LANES_SRC, LANES_DST, stats=stats)
+    assert path is not None and stats.expansions == 76 < lanes.nx * lanes.ny // 4
+    assert builds == []
+
+
+def test_field_memoised_per_mask_and_dst(model, monkeypatch):
+    builds = count_builds(monkeypatch)
     grid = synth_terrain(2, 40, 20, 8.0)
     mask = simple_height_mask(grid, 1.0, 3)
     src, dst = (0, 10), (39, 10)
@@ -148,3 +174,116 @@ def test_field_memoised_per_mask_and_dst(model, monkeypatch):
     astar(grid, model, mask, dst, src, coster=coster)
     assert len(builds) == 3, "another destination gets its own field"
     assert math.isfinite(coster.astar_potential(mask, src, build=False)[dst[1]][dst[0]])
+
+
+# The field as it was built before the band was priced in column blocks: every
+# admissible (x, y, z) cell at once, with the move pricer of that time.
+def _whole_band_move_prices(model, g0, gm, g1, length_2d, r0, r1):
+    rm = 0.5 * (r0 + r1)
+    half = 0.5 * length_2d
+    cut = np.zeros(np.shape(r0))
+    fill = np.zeros(np.shape(r0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for da, db in ((r0 - g0, rm - gm), (rm - gm, r1 - g1)):
+            same_side = da * db >= 0.0
+            s_cross = half * da / (da - db)
+            a0 = np.where(same_side, 0.5 * (da + db) * half, 0.5 * da * s_cross)
+            a1 = np.where(same_side, 0.0, 0.5 * db * (half - s_cross))
+            for a in (a0, a1):
+                above = a >= 0.0
+                fill = fill + np.where(above, a, 0.0)
+                cut = cut - np.where(above, 0.0, a)
+    length_3d = np.hypot(length_2d, r1 - r0)
+    return (
+        model.paving_rate * length_3d
+        + model.cut_rate * cut * model.road_width
+        + model.fill_rate * fill * model.road_width
+    )
+
+
+def whole_band_bound(grid, model, mask, dst):
+    nx, ny = grid.nx, grid.ny
+    lo = np.full((ny, nx), grid.z_min_index, dtype=np.int64)
+    hi = np.full((ny, nx), grid.z_max_index, dtype=np.int64)
+    if mask is not None:
+        lo = np.maximum(lo, mask.z_lo)
+        hi = np.minimum(hi, mask.z_hi)
+    lo, hi = lo.ravel(), hi.ravel()
+    sizes = hi - lo + 1
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    col = np.repeat(np.arange(nx * ny), sizes)
+    cz = lo[col] + np.arange(col.size) - starts[col]
+    cx, cy = col % nx, col // nx
+    ground = grid.z.ravel()
+    g0 = ground[col]
+    r0 = cz * grid.dz
+    offsets, weights = [], []
+    for dx, dy in DIR8[:4]:
+        tx, ty = cx + dx, cy + dy
+        on = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
+        tcol = np.where(on, ty * nx + tx, col)
+        g1 = ground[tcol]
+        if dx and dy:
+            a, b = ground[cy * nx + np.where(on, tx, cx)], ground[np.where(on, ty, cy) * nx + cx]
+            gm = 0.25 * (g0 + g1 + a + b) if dx > 0 else 0.25 * (g1 + g0 + b + a)
+            length_2d = grid.dxy * 1.4142135623730951
+        else:
+            gm = 0.5 * (g0 + g1)
+            length_2d = grid.dxy
+        best = np.full(col.size, np.inf)
+        for step in (-1, 0, 1):
+            tz = cz + step
+            i = np.nonzero(on & (tz >= lo[tcol]) & (tz <= hi[tcol]))[0]
+            ga, gb, r1 = g0[i], g1[i], tz[i] * grid.dz
+            if dx >= 0:
+                price = _whole_band_move_prices(model, ga, gm[i], gb, length_2d, r0[i], r1)
+            else:
+                price = _whole_band_move_prices(model, gb, gm[i], ga, length_2d, r1, r0[i])
+            best[i] = np.minimum(best[i], price)
+        w = np.minimum.reduceat(best, starts) * (1.0 - 1e-12)
+        back = np.full(nx * ny, np.inf)
+        ok = np.nonzero(np.isfinite(w))[0]
+        back[ok + dy * nx + dx] = w[ok]
+        offsets += [dy * nx + dx, -(dy * nx + dx)]
+        weights += [w, back]
+    dist = [math.inf] * (nx * ny)
+    t = dst[1] * nx + dst[0]
+    dist[t] = 0.0
+    heap = [(0.0, t)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d > dist[i]:
+            continue
+        for off, w in zip(offsets, weights):
+            if w[i] < math.inf and d + w[i] < dist[i + off]:
+                dist[i + off] = d + w[i]
+                heapq.heappush(heap, (d + w[i], i + off))
+    return np.array(dist).reshape(ny, nx)
+
+
+RATES = st.sampled_from((0.0, 0.5, 1.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_instances(), RATES, RATES, RATES, st.sampled_from((1, 2, 7, 40, 4096)))
+def test_blocks_equal_the_whole_band_build(inst, paving, cut, fill, block):
+    grid, model, mask, _, dst = inst
+    model = dataclasses.replace(model, paving_rate=paving, cut_rate=cut, fill_rate=fill)
+    # Small blocks split these bands into many blocks, some a lone column
+    # taller than the block.
+    with mock.patch.object(cost, "_BLOCK_CELLS", block):
+        got = planar_bound(grid, model, mask, dst)
+    assert np.array_equal(got, whole_band_bound(grid, model, mask, dst))
+
+
+def test_blocks_hold_the_grid_not_the_band():
+    # With no mask every column spans the grid's whole relief, 105,000
+    # cells here; priced all at once, they held about 30 MB.
+    grid = synth_terrain(3, 100, 50, 20.0)
+    tracemalloc.start()
+    try:
+        planar_bound(grid, CostModel(), None, (99, 25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

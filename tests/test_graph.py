@@ -214,6 +214,15 @@ class TestBandSettings:
         with pytest.raises(ValueError, match="must be"):
             build(synth_terrain(1, 5, 4, 3.0), *args)
 
+    # A negative endpoint used to wrap to the far edge with no error, and one
+    # past the grid failed inside numpy.
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    @pytest.mark.parametrize("point", [(-2, 1), (3, -1), (6, 1), (3, 4)])
+    def test_rejects_endpoints_off_the_grid(self, end, point):
+        ends = {"src": (0, 1), "dst": (5, 2), end: point}
+        with pytest.raises(ValueError, match=rf"^{end} \({point[0]}, {point[1]}\) outside grid"):
+            expanding_height_mask(synth_terrain(1, 6, 4, 3.0), 0.5, 0.1, **ends)
+
     def test_mask_holds_one_read_only_int32_band(self):
         m = simple_height_mask(synth_terrain(1, 5, 4, 3.0), 1.0, 1)
         assert m.z_lo.dtype == m.z_hi.dtype == np.int32

@@ -10,9 +10,10 @@ checkout, alternating which side runs first, and records each side's
 median and quartiles per end-to-end metric, with every run's ``correct``
 flag and failure count.  Then it solves the
 cases of :func:`counts` with ``bds``, ``hybrid`` and ``kspa``, A* on and
-off, with each checkout's library, and records the deterministic counts
-(expansions, iterations, peak labels), the solved flag, the path costs and
-the CPU seconds of each solve.
+off, and with ``se`` and ``ipa``, A* on, and runs the benchmark's
+best-corridor ``astar`` query per map and mask, all with each checkout's
+library.  It records the deterministic counts (expansions, iterations, peak
+labels), the solved flag, the path costs and the CPU seconds of each.
 """
 
 from __future__ import annotations
@@ -32,24 +33,40 @@ PAIRS = 10  # a gain must show in nine of ten pairs
 SEED = 1
 SECONDS = 30
 COUNTED = ("bds", "hybrid", "kspa")
+GUIDED = ("se", "ipa")  # A* re-searches: each query starts unguided by the planar field
 
 
 def counts(checkout: str) -> dict:
     """Solve every counted case with the library under ``checkout``/src, on
-    the benchmark's four maps with HR 1/3, and on ``lanes-9-15`` with HR 1/1."""
+    the benchmark's four maps with HR 1/3, and on ``lanes-9-15`` with HR 1/1,
+    and run each map's best-corridor queries as the benchmark does."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(ROOT, "perfbench")]
     import corridor
     import run as bench
 
-    cases = [(bench.LANES_A, 3), (bench.LANES_B, 3), (bench.LANES_A, 1), (bench.RELIEF_2, 3), (bench.RELIEF_5, 3)]
-    out = {}
-    for spec, r in cases:
+    def setting(spec):
         kind, *recipe = spec.recipe
         grid = bench.lane_terrain(corridor, *recipe) if kind == "lanes" else corridor.synth_terrain(*recipe)
-        model = bench.cost_model(corridor, spec)
+        return grid, bench.cost_model(corridor, spec)
+
+    out = {}
+    for spec in (bench.LANES_A, bench.LANES_B, bench.RELIEF_2, bench.RELIEF_5):
+        grid, model = setting(spec)
+        for kind in ("hr", "ehr"):
+            stats = corridor.SearchStats()
+            t0 = time.process_time()
+            path = corridor.astar(grid, model, bench.make_mask(corridor, grid, model, spec, kind),
+                                  spec.src, spec.dst, stats=stats)
+            out[f"{spec.name}/{kind}/best"] = dict(
+                expansions=stats.expansions, costs=[repr(path.total_cost)],
+                cpu_s=round(time.process_time() - t0, 3),
+            )
+    cases = [(bench.LANES_A, 3), (bench.LANES_B, 3), (bench.LANES_A, 1), (bench.RELIEF_2, 3), (bench.RELIEF_5, 3)]
+    for spec, r in cases:
+        grid, model = setting(spec)
         mask = corridor.simple_height_mask(grid, 1.0, r)
         for use_astar in (True, False):
-            for alg in COUNTED:
+            for alg in COUNTED + (GUIDED if use_astar else ()):
                 cfg = corridor.MultipathConfig(algorithm=alg, use_astar=use_astar)
                 t0 = time.process_time()
                 res = corridor.solve(grid, model, mask, spec.src, spec.dst, cfg)
