@@ -214,46 +214,29 @@ def unit_move_prices(
 
 def _move_prices(model, g0, gm, g1, length_2d, r0, r1) -> np.ndarray:
     """:func:`unit_move_prices` from ground elevations at the start, middle
-    and end of each move, its planar length and its road elevations.
-
-    The in-place forms keep fewer arrays alive; each element still goes
-    through the operations of :meth:`EdgeCoster._compute` in its order."""
+    and end of each move, its planar length and its road elevations."""
+    rm = 0.5 * (r0 + r1)
     half = 0.5 * length_2d
-    mid = r0 + r1
-    mid *= 0.5
-    mid -= gm
     cut = np.zeros(np.shape(r0))
     fill = np.zeros(np.shape(r0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for da, db in ((r0 - g0, mid), (mid, r1 - g1)):
+        for da, db in ((r0 - g0, rm - gm), (rm - gm, r1 - g1)):
             same_side = da * db >= 0.0
-            s_cross = da - db
-            np.divide(half * da, s_cross, out=s_cross)
+            s_cross = half * da / (da - db)
             # One area when the piece stays on one side of the ground, else
             # the two triangles either side of the crossing, in that order.
-            a0 = da + db
-            a0 *= 0.5
-            a0 *= half
-            a1 = da * 0.5
-            a1 *= s_cross
-            np.copyto(a0, a1, where=~same_side)
-            np.subtract(half, s_cross, out=s_cross)
-            np.multiply(db, 0.5, out=a1)
-            a1 *= s_cross
-            a1[same_side] = 0.0
+            a0 = np.where(same_side, 0.5 * (da + db) * half, 0.5 * da * s_cross)
+            a1 = np.where(same_side, 0.0, 0.5 * db * (half - s_cross))
             for a in (a0, a1):
                 above = a >= 0.0
-                fill += np.where(above, a, 0.0)
-                cut -= np.where(above, 0.0, a)
-    price = np.hypot(length_2d, r1 - r0)
-    price *= model.paving_rate
-    cut *= model.cut_rate
-    cut *= model.road_width
-    price += cut
-    fill *= model.fill_rate
-    fill *= model.road_width
-    price += fill
-    return price
+                fill = fill + np.where(above, a, 0.0)
+                cut = cut - np.where(above, 0.0, a)
+    length_3d = np.hypot(length_2d, r1 - r0)
+    return (
+        model.paving_rate * length_3d
+        + model.cut_rate * cut * model.road_width
+        + model.fill_rate * fill * model.road_width
+    )
 
 
 # Relative slack taken off every relaxed move price.  It covers the last-bit
@@ -263,7 +246,7 @@ def _move_prices(model, g0, gm, g1, length_2d, r0, r1) -> np.ndarray:
 _BOUND_SLACK = 1e-12
 
 # Cells priced at once by :func:`planar_bound`; a taller column is a block of
-# its own.  A block's temporaries take about 170 bytes a cell.
+# its own.  A block's temporaries take about 200 bytes a cell.
 _BLOCK_CELLS = 4096
 
 

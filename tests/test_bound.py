@@ -96,9 +96,6 @@ def test_vector_pricer_matches_scalar(inst):
     coster = EdgeCoster(grid, model)
     want = np.array([coster._compute(*m) for m in moves.tolist()])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1e-300))
-    # The in-place pricer rounds exactly as the one it replaced.
-    with mock.patch.object(cost, "_move_prices", _whole_band_move_prices):
-        assert np.array_equal(got, unit_move_prices(grid, model, *moves.T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,6 +133,22 @@ def test_switch_on_relief(kind, model):
     assert sa.expansions <= sd.expansions
     keys = sa.settle_keys
     assert all(a <= b for a, b in zip(keys, keys[1:]))
+
+
+def test_integer_spacings(model):
+    # A grid may be given dxy and dz as ints; the field and every price it
+    # is built from are those of the same grid with float spacings.
+    grid = synth_terrain(2, 40, 20, 8.0, dxy=10, dz=1)
+    floats = synth_terrain(2, 40, 20, 8.0, dxy=10.0, dz=1.0)
+    mask = simple_height_mask(grid, 1.0, 3)
+    src, dst = (0, 10), (39, 10)
+    assert np.array_equal(planar_bound(grid, model, mask, dst), planar_bound(floats, model, mask, dst))
+    moves = np.array(list(unit_moves(grid, mask)), dtype=np.int64)
+    assert np.array_equal(unit_move_prices(grid, model, *moves.T), unit_move_prices(floats, model, *moves.T))
+    sa = SearchStats()
+    pa = astar(grid, model, mask, src, dst, stats=sa)
+    assert sa.expansions > grid.nx * grid.ny // 4, "the query never reached the switch"
+    assert pa.total_cost == pytest.approx(dijkstra(grid, model, mask, src, dst).total_cost, rel=1e-12)
 
 
 def count_builds(monkeypatch) -> list:
@@ -176,31 +189,8 @@ def test_field_memoised_per_mask_and_dst(model, monkeypatch):
     assert math.isfinite(coster.astar_potential(mask, src, build=False)[dst[1]][dst[0]])
 
 
-# The field as it was built before the band was priced in column blocks: every
-# admissible (x, y, z) cell at once, with the move pricer of that time.
-def _whole_band_move_prices(model, g0, gm, g1, length_2d, r0, r1):
-    rm = 0.5 * (r0 + r1)
-    half = 0.5 * length_2d
-    cut = np.zeros(np.shape(r0))
-    fill = np.zeros(np.shape(r0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for da, db in ((r0 - g0, rm - gm), (rm - gm, r1 - g1)):
-            same_side = da * db >= 0.0
-            s_cross = half * da / (da - db)
-            a0 = np.where(same_side, 0.5 * (da + db) * half, 0.5 * da * s_cross)
-            a1 = np.where(same_side, 0.0, 0.5 * db * (half - s_cross))
-            for a in (a0, a1):
-                above = a >= 0.0
-                fill = fill + np.where(above, a, 0.0)
-                cut = cut - np.where(above, 0.0, a)
-    length_3d = np.hypot(length_2d, r1 - r0)
-    return (
-        model.paving_rate * length_3d
-        + model.cut_rate * cut * model.road_width
-        + model.fill_rate * fill * model.road_width
-    )
-
-
+# The field as it was built before the band was priced in column blocks:
+# every admissible (x, y, z) cell at once.
 def whole_band_bound(grid, model, mask, dst):
     nx, ny = grid.nx, grid.ny
     lo = np.full((ny, nx), grid.z_min_index, dtype=np.int64)
@@ -236,9 +226,9 @@ def whole_band_bound(grid, model, mask, dst):
             i = np.nonzero(on & (tz >= lo[tcol]) & (tz <= hi[tcol]))[0]
             ga, gb, r1 = g0[i], g1[i], tz[i] * grid.dz
             if dx >= 0:
-                price = _whole_band_move_prices(model, ga, gm[i], gb, length_2d, r0[i], r1)
+                price = cost._move_prices(model, ga, gm[i], gb, length_2d, r0[i], r1)
             else:
-                price = _whole_band_move_prices(model, gb, gm[i], ga, length_2d, r1, r0[i])
+                price = cost._move_prices(model, gb, gm[i], ga, length_2d, r1, r0[i])
             best[i] = np.minimum(best[i], price)
         w = np.minimum.reduceat(best, starts) * (1.0 - 1e-12)
         back = np.full(nx * ny, np.inf)
