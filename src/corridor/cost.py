@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import AugVertex, HeightMask, check_mask_shape
+from .graph import AugVertex, HeightMask, StateNumbering, check_mask_shape
 from .terrain import DIR8, TerrainGrid, ground_profile
 
 Point3 = tuple[float, float, float]
@@ -90,30 +90,47 @@ class EdgeCoster:
 
     The midpoint ground elevation is computed in closed form (orthogonal:
     mean of the endpoints, diagonal: mean of the 4 cell corners — both
-    exactly the bilinear value).  Any other move raises ``ValueError``.
+    exactly the bilinear value).  Any other move raises ``ValueError``, and
+    both states must lie on the grid.  Calls and one-label sweeps share one
+    int-keyed memo, ``prices``, of the moves within the grid's vertical
+    hull.  The coster also memoises the clipped bands of each mask and the
+    A* potential of each (mask, destination), for every search of a solve.
     """
 
     def __init__(self, grid: TerrainGrid, model: CostModel):
         self.grid = grid
         self.model = model
         self._z = [[float(v) for v in row] for row in grid.z]
-        self._cache: dict[tuple[int, int, int, int, int, int], float] = {}
-        # (id(mask), dst) -> (mask, potential rows); the entry holds the mask
-        # so its id cannot be reused by another mask while the entry lives.
-        self._potentials: dict[tuple, tuple[Optional[HeightMask], list[list[float]]]] = {}
+        self.states = StateNumbering(grid)
+        # Prices keyed by the positions (StateNumbering.position) a <= b of
+        # a move's two cells as ``a * span + b``.  One price per unordered
+        # pair, computed from its smaller end, so a move costs the same to
+        # the last bit in either direction.
+        self.span = grid.nx * grid.ny * grid.n_levels
+        self.prices: dict[int, float] = {}
+        self._hull = (grid.ny, grid.n_levels, grid.z_min_index, grid.z_max_index + 1)
+        # id(mask) -> (mask, bands) and (id(mask), dst) -> (mask, potential
+        # rows, the same per column x-major or None); each entry holds the
+        # mask so its id cannot be reused by another mask while it lives.
+        self._bands: dict[int, tuple] = {}
+        self._potentials: dict[tuple, list] = {}
 
     def __call__(self, u: AugVertex, w: AugVertex) -> float:
-        a = (u.x, u.y, u.z)
-        b = (w.x, w.y, w.z)
-        # One price per unordered pair, computed from its smaller end, so a
-        # move costs the same to the last bit in either direction.
-        key = a + b if a <= b else b + a
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        c = self._compute(*key)
-        self._cache[key] = c
-        return c
+        x0, y0, z0, _, _ = u
+        x1, y1, z1, _, _ = w
+        ny, nz, z_min, z_top = self._hull
+        if not (z_min <= z0 < z_top and z_min <= z1 < z_top):
+            # Off the hull two cells may share a position: price without the memo.
+            return self._compute(*min(u[:3], w[:3]), *max(u[:3], w[:3]))
+        a = (x0 * ny + y0) * nz + z0 - z_min
+        b = (x1 * ny + y1) * nz + z1 - z_min
+        if a > b:
+            a, b, x0, y0, z0, x1, y1, z1 = b, a, x1, y1, z1, x0, y0, z0
+        key = a * self.span + b
+        price = self.prices.get(key)
+        if price is None:
+            price = self.prices[key] = self._compute(x0, y0, z0, x1, y1, z1)
+        return price
 
     def _compute(self, x0, y0, zi0, x1, y1, zi1) -> float:
         grid = self.grid
@@ -164,6 +181,12 @@ class EdgeCoster:
             + model.fill_rate * fill * model.road_width
         )
 
+    def bands(self, mask: Optional[HeightMask]) -> tuple[list[int], list[int]]:
+        """:meth:`StateNumbering.bands` of ``mask``, memoised per mask."""
+        entry = self._bands.get(id(mask))
+        if entry is None:
+            entry = self._bands[id(mask)] = (mask, self.states.bands(mask))
+        return entry[1]
 
     def astar_potential(
         self, mask: Optional[HeightMask], dst: tuple[int, int], build: bool = True
@@ -172,18 +195,35 @@ class EdgeCoster:
         the straight-line bound and :func:`planar_bound`.  Both are consistent,
         so their maximum is too.  Built once per (mask, dst) and memoised;
         with ``build=False`` only a memoised table is returned, else None."""
-        dst = (int(dst[0]), int(dst[1]))
-        key = (id(mask), dst)
-        entry = self._potentials.get(key)
-        if entry is not None:
-            return entry[1]
-        if not build:
+        entry = self._potential(mask, dst, build)
+        return None if entry is None else entry[1]
+
+    def cell_potential(
+        self, mask: Optional[HeightMask], dst: tuple[int, int], build: bool = True
+    ) -> Optional[list[float]]:
+        """:meth:`astar_potential` per column numbered x-major (``x * ny + y``),
+        memoised with it."""
+        entry = self._potential(mask, dst, build)
+        if entry is None:
             return None
-        planar = planar_bound(self.grid, self.model, mask, dst).tolist()
-        straight = straight_line_rows(self.grid, self.model, dst)
-        rows = [list(map(max, line, row)) for line, row in zip(straight, planar)]
-        self._potentials[key] = (mask, rows)
-        return rows
+        if entry[2] is None:
+            entry[2] = x_major(entry[1])
+        return entry[2]
+
+    def _potential(self, mask, dst, build) -> Optional[list]:
+        key = (id(mask), (int(dst[0]), int(dst[1])))
+        entry = self._potentials.get(key)
+        if entry is None and build:
+            planar = planar_bound(self.grid, self.model, mask, key[1]).tolist()
+            straight = straight_line_rows(self.grid, self.model, key[1])
+            rows = [list(map(max, line, row)) for line, row in zip(straight, planar)]
+            entry = self._potentials[key] = [mask, rows, None]
+        return entry
+
+
+def x_major(rows: list[list[float]]) -> list[float]:
+    """Rows ``[y][x]`` as one list over the columns numbered x-major."""
+    return [v for column in zip(*rows) for v in column]
 
 
 def unit_move_prices(

@@ -49,10 +49,14 @@ class HeightMask:
             raise ValueError("mask bound arrays must have equal shape")
         if (lo > hi).any():
             raise ValueError("mask has empty columns (z_lo > z_hi)")
-        # Both bounds share one read-only int32 buffer, half the memory of two
-        # int64 arrays; callers such as the benchmark keep a mask per operation.
-        band = np.array((lo, hi), dtype=np.int32)
-        if (band != (lo, hi)).any():
+        # Both bounds share one read-only buffer of the narrowest of int16 and
+        # int32 that holds them, a quarter or half the memory of two int64
+        # arrays; callers such as the benchmark keep a mask per operation.
+        for dtype in (np.int16, np.int32):
+            band = np.array((lo, hi), dtype=dtype)
+            if (band == (lo, hi)).all():
+                break
+        else:
             raise ValueError("mask levels must fit in 32 bits")
         band.setflags(write=False)
         object.__setattr__(self, "z_lo", band[0])
@@ -107,6 +111,97 @@ def _v_options(v: int) -> tuple[int, ...]:
     if v == 1:
         return (0, 1)
     return (-1, 0)
+
+
+# A state's orientation as one offset 3h + v + 1 in 0..23.  Per offset: the
+# offset of the reversed state (flip_state); the forward moves of
+# successors3do as (h', ((v', step), ...)), where a move along h' to level
+# z + v' reaches state 24 * position(next cell, z) + step; and the offsets a
+# reversed state may take after its move (rev_successors3do).
+_FLIP = tuple(3 * ((o // 3 + 4) % 8) + 2 - o % 3 for o in range(24))
+_FORWARD = tuple(
+    tuple((hp, tuple((vp, 24 * vp + 3 * hp + vp + 1) for vp in _v_options(o % 3 - 1)))
+          for hp in ((o // 3 - 1) % 8, o // 3, (o // 3 + 1) % 8))
+    for o in range(24)
+)
+_BACKWARD = tuple(tuple(step - 24 * vp for _, turns in _FORWARD[o] for vp, step in turns) for o in range(24))
+
+
+class StateNumbering:
+    """The augmented states of one grid numbered by ints.
+
+    The state (x, y, z, h, v) is ``24 * position + 3h + v + 1``, where the
+    position ``(x * ny + y) * nz + z - z_min`` numbers the cells of the
+    grid's vertical hull (``nz`` levels from ``z_min``) x-major, so the ints
+    order as the states do.  Moves are arithmetic over the grid's
+    :attr:`~corridor.terrain.TerrainGrid.neighbour_cells` and a mask's
+    clipped :meth:`bands`; they equal :func:`successors3do` and
+    :func:`rev_successors3do`.
+    """
+
+    def __init__(self, grid: TerrainGrid):
+        self.nx, self.ny = grid.nx, grid.ny
+        self.nz, self.z_min = grid.n_levels, grid.z_min_index
+        self.neighbours = grid.neighbour_cells
+
+    def position(self, x: int, y: int, z: int) -> int:
+        return (x * self.ny + y) * self.nz + z - self.z_min
+
+    def xyz(self, p: int) -> tuple[int, int, int]:
+        """The cell at position ``p``."""
+        cell, z = divmod(p, self.nz)
+        x, y = divmod(cell, self.ny)
+        return x, y, z + self.z_min
+
+    def encode(self, u: AugVertex) -> int:
+        return 24 * self.position(u.x, u.y, u.z) + 3 * u.h + u.v + 1
+
+    def decode(self, s: int) -> AugVertex:
+        p, o = divmod(s, 24)
+        return AugVertex(*self.xyz(p), o // 3, o % 3 - 1)
+
+    @staticmethod
+    def flip(s: int) -> int:
+        """:func:`flip_state` of state ``s``."""
+        o = s % 24
+        return s - o + _FLIP[o]
+
+    def bands(self, mask: Optional[HeightMask]) -> tuple[list[int], list[int]]:
+        """Per column, numbered x-major, the lowest and highest level of
+        :func:`z_bounds`, counted from ``z_min``."""
+        lo = np.zeros((self.nx, self.ny), dtype=np.int64)
+        hi = np.full((self.nx, self.ny), self.nz - 1, dtype=np.int64)
+        if mask is not None:
+            np.maximum(lo, mask.z_lo.T.astype(np.int64) - self.z_min, out=lo)
+            np.minimum(hi, mask.z_hi.T.astype(np.int64) - self.z_min, out=hi)
+        return lo.ravel().tolist(), hi.ravel().tolist()
+
+    def moves(self, s: int, lo: list[int], hi: list[int], forward: bool = True) -> list[int]:
+        """The states one move from state ``s`` under the bands ``lo`` and
+        ``hi``: those of :func:`successors3do`, or with ``forward`` False
+        those of :func:`rev_successors3do`."""
+        p, o = divmod(s, 24)
+        cell, z = divmod(p, self.nz)
+        nz, neighbours = self.nz, self.neighbours
+        if not forward:
+            c2 = neighbours[8 * cell + o // 3]
+            z2 = z + o % 3 - 1
+            if c2 < 0 or not lo[c2] <= z2 <= hi[c2]:
+                return []
+            q = 24 * (c2 * nz + z2)
+            return [q + o2 for o2 in _BACKWARD[o]]
+        out = []
+        base = 8 * cell
+        for hp, turns in _FORWARD[o]:
+            c2 = neighbours[base + hp]
+            if c2 < 0:
+                continue
+            lo2, hi2 = lo[c2], hi[c2]
+            q = 24 * (c2 * nz + z)
+            for vp, step in turns:
+                if lo2 <= z + vp <= hi2:
+                    out.append(q + step)
+        return out
 
 
 def successors3do(

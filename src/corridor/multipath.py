@@ -41,6 +41,8 @@ from .dissimilarity import (
 # perfbench/tracing.py rebinds the successor functions here too, so they stay imported.
 from .graph import AugVertex, ground_z_index, rev_successors3do, successors3do
 from .search import (
+    CellFilter,
+    CellPenalty,
     Path,
     SearchStats,
     _LabelSide,
@@ -208,9 +210,6 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
     blocked: set[tuple[int, int]] = set()
     walls: list[set[tuple[int, int]]] = []
 
-    def edge_filter(u: AugVertex, v: AugVertex) -> bool:
-        return (v.x, v.y) not in blocked
-
     opt = run.search()
     if opt is None:
         return run.result([], None)
@@ -228,7 +227,7 @@ def run_se(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult
         wall = _wall_positions(grid, paths[-1].vertices[edge + 1], w)
         walls.append(wall)
         blocked.update(wall)
-        cand = run.search(edge_filter=edge_filter)
+        cand = run.search(edge_filter=CellFilter(grid, blocked))
         if run.stats.incomplete:
             break
         too_costly = cand is not None and cand.total_cost > bar
@@ -295,8 +294,9 @@ class IpaBracket:
         return True
 
 
-def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float):
-    """Additive triangular surcharge around each accepted path.
+def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float) -> CellPenalty:
+    """Additive triangular surcharge around each accepted path, on every
+    move into a column.
 
     The width knob is a percentage and scales both triangle dimensions: the
     peak equals width% of the path's mean edge cost and the lateral reach
@@ -309,21 +309,21 @@ def _corridor_penalty(grid: TerrainGrid, paths: list[Path], width_percent: float
     per_path = []
     for p in paths:
         # The centerline per map column, held at its end values outside the
-        # path's x-hull and looked up once per priced edge.
+        # path's x-hull.
         lo, means = Profile.of_path(p.vertices).means()
         ybar = [means[min(max(x - lo, 0), len(means) - 1)] for x in range(grid.nx)]
         peak = (width_percent / 100.0) * (p.total_cost / max(1, len(p.vertices) - 1))
         per_path.append((ybar, peak))
 
-    def penalty(u: AugVertex, v: AugVertex) -> float:
+    def surcharge(x: int, y: int) -> float:
         total = 0.0
         for ybar, peak in per_path:
-            lateral = abs(v.y - ybar[v.x])
+            lateral = abs(y - ybar[x])
             if lateral < reach:
                 total += peak * (1.0 - lateral / reach)
         return total
 
-    return penalty
+    return CellPenalty(grid, [[surcharge(x, y) for x in range(grid.nx)] for y in range(grid.ny)])
 
 
 def run_ipa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResult:

@@ -2,12 +2,17 @@
 
 Two kinds of sweep serve every search, driven by one settle loop that holds
 the deadline, the label cap and the counters.  A :class:`_Sweep` keeps one
-label per state in dicts: :func:`dijkstra` and :func:`astar` run one, and
+label per state, on states numbered by ints
+(:class:`~corridor.graph.StateNumbering`): its moves are arithmetic, its
+labels and the price memo are int-keyed dicts, and an
+:class:`~corridor.graph.AugVertex` is built only for a returned path or a
+caller's per-edge rule.  :func:`dijkstra` and :func:`astar` run one, and
 the :class:`BidiEngine` grows two towards each other (``bds``), always the
 one whose lowest key is smaller, and exposes settled meeting states as a
 stream of paths.  A :class:`_LabelSide` keeps several mutually dissimilar
-labels per state: the engine grows two of them for ``hybrid``, and one on
-its own is the ``kspa`` sweep.  All of them
+labels per :class:`~corridor.graph.AugVertex` state: the engine grows two
+of them for ``hybrid``, and one on its own is the ``kspa`` sweep.  All of
+them
 
   * seed the source position with all 24 (h, v) orientations at cost 0 and
     accept any orientation at the destination,
@@ -27,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .cost import CostModel, EdgeCoster, straight_line_rows
+from .cost import CostModel, EdgeCoster, straight_line_rows, x_major
 from .dissimilarity import ADD, REJECT, Profile, area_cells, cost_bar, place
 from .graph import (
     AugVertex,
@@ -94,25 +99,67 @@ class Path:
         assert abs(total - self.total_cost) <= 1e-9 * max(1.0, abs(total))
 
 
-def _seed_states(grid, mask, xy) -> list[AugVertex]:
-    check_mask_shape(grid, mask)
+def _ground_cell(grid, xy) -> tuple[int, int, int]:
+    """The ground cell at ``xy``; a column off the grid raises ``ValueError``."""
     x, y = xy
-    z = ground_z_index(grid, x, y)
+    if not (0 <= x < grid.nx and 0 <= y < grid.ny):
+        raise ValueError(f"endpoint {tuple(xy)} outside grid")
+    return x, y, ground_z_index(grid, x, y)
+
+
+def _seed_cell(grid, mask, xy) -> tuple[int, int, int]:
+    """The ground cell at ``xy``, where every search seeds its 24 states."""
+    check_mask_shape(grid, mask)
+    x, y, z = _ground_cell(grid, xy)
     if mask is not None and not mask.admits(x, y, z):
         raise ValueError(f"ground level at {xy} not admissible under mask")
-    return [AugVertex(x, y, z, h, v) for h in range(8) for v in (-1, 0, 1)]
+    return x, y, z
+
+
+class CellFilter:
+    """An edge filter that admits a move unless it enters a blocked column:
+    a search reads it per column instead of calling it per edge."""
+
+    def __init__(self, grid: TerrainGrid, blocked):
+        self.ny = grid.ny
+        self.open = [True] * (grid.nx * grid.ny)
+        for x, y in blocked:
+            self.open[x * grid.ny + y] = False
+
+    def __call__(self, u: AugVertex, w: AugVertex) -> bool:
+        return self.open[w.x * self.ny + w.y]
+
+
+class CellPenalty:
+    """An edge penalty that depends only on the column a move enters,
+    ``rows[y][x]``: a search reads it per column instead of calling it per
+    edge.  A negative or NaN entry raises ``ValueError``."""
+
+    def __init__(self, grid: TerrainGrid, rows: list[list[float]]):
+        self.ny = grid.ny
+        self.by_cell = x_major(rows)
+        if not all(p >= 0.0 for p in self.by_cell):
+            raise ValueError("negative or NaN edge penalty")
+
+    def __call__(self, u: AugVertex, w: AugVertex) -> float:
+        return self.by_cell[w.x * self.ny + w.y]
 
 
 class _Sweep:
-    """One direction of a one-label sweep: each state keeps its cheapest cost
-    in ``dist`` and its predecessor in ``parent``, as in Dijkstra.
+    """One direction of a one-label sweep over the int states of
+    :class:`~corridor.graph.StateNumbering`: each state keeps its cheapest
+    cost in the int-keyed dict ``dist`` and its predecessor in ``parent``,
+    as in Dijkstra, so memory grows with the states touched.
 
-    ``rows[y][x]``, if given, is a consistent potential added to each heap
-    key, and :meth:`rekey` swaps in one that is nowhere smaller.  A backward
-    sweep stores states in reverse orientation and advances through the
-    reversed graph; ``edge_filter`` and ``penalty`` see each move ``(u, w)``
-    in the sweep's own direction, and the price of a unit move does not
-    depend on its direction.  Heap entries are ``(key, state)``, and a
+    ``potential``, if given, is a consistent potential per column numbered
+    x-major, added to each heap key, and :meth:`rekey` swaps in one that is
+    nowhere smaller.  A backward sweep stores states in reverse orientation
+    and advances through the reversed graph; ``edge_filter`` and ``penalty``
+    see each move ``(u, w)`` in the sweep's own direction, and the price of
+    a unit move does not depend on its direction.  Prices come from the
+    coster's int-keyed memo; a :class:`CellFilter` or :class:`CellPenalty`
+    is read per column, and only another callable is given the move's
+    :class:`AugVertex` pair.  Heap entries are ``(key, state)``, and a
     popped entry whose state has settled is skipped.
     """
 
@@ -123,23 +170,28 @@ class _Sweep:
         coster: EdgeCoster,
         origin: tuple[int, int],
         forward: bool = True,
-        rows: Optional[list[list[float]]] = None,
+        potential: Optional[list[float]] = None,
         edge_filter: Optional[EdgeFilter] = None,
         penalty: Optional[EdgePenalty] = None,
     ):
-        self.grid = grid
-        self.mask = mask
+        x, y, z = _seed_cell(grid, mask, origin)
+        self.states = states = coster.states
         self.coster = coster
+        # Looked up on the instance, so that a rebound _compute sees each miss.
+        self.compute = coster._compute
         self.forward = forward
-        self.rows = rows
-        self.edge_filter = edge_filter
-        self.penalty = penalty
-        seeds = _seed_states(grid, mask, origin)
-        self.dist: dict[AugVertex, float] = dict.fromkeys(seeds, 0.0)
-        self.parent: dict[AugVertex, AugVertex] = {}
-        self.settled: set[AugVertex] = set()
-        key = rows[origin[1]][origin[0]] if rows is not None else 0.0
-        self.heap = sorted((key, s) for s in seeds)
+        self.potential = potential
+        self.lo, self.hi = coster.bands(mask)
+        self.cells = edge_filter.open if isinstance(edge_filter, CellFilter) else None
+        self.edge_filter = None if self.cells is not None else edge_filter
+        self.surcharge = penalty.by_cell if isinstance(penalty, CellPenalty) else None
+        self.penalty = None if self.surcharge is not None else penalty
+        first = 24 * states.position(x, y, z)
+        self.dist: dict[int, float] = dict.fromkeys(range(first, first + 24), 0.0)
+        self.parent: dict[int, int] = {}
+        self.settled: set[int] = set()
+        key = potential[x * grid.ny + y] if potential is not None else 0.0
+        self.heap = [(key, s) for s in self.dist]
 
     def pick(self) -> Optional[_Sweep]:
         return self if self.heap else None
@@ -147,60 +199,80 @@ class _Sweep:
     def held(self) -> int:
         return len(self.dist)
 
-    def pop_settle(self) -> Optional[tuple[float, AugVertex, AugVertex]]:
+    def pop_settle(self) -> Optional[tuple[float, int, int]]:
         heap, settled = self.heap, self.settled
         while heap:
-            key, u = heapq.heappop(heap)
-            if u not in settled:
-                settled.add(u)
-                return key, u, u
+            key, s = heapq.heappop(heap)
+            if s not in settled:
+                settled.add(s)
+                return key, s, s
         return None
 
-    def relax(self, u: AugVertex) -> None:
-        dist, parent, settled, rows = self.dist, self.parent, self.settled, self.rows
-        coster, edge_filter, penalty, heap = self.coster, self.edge_filter, self.penalty, self.heap
-        du = dist[u]
-        for w in (successors3do if self.forward else rev_successors3do)(self.grid, u, self.mask):
+    def relax(self, s: int) -> None:
+        dist, parent, settled, heap = self.dist, self.parent, self.settled, self.heap
+        potential, cells, surcharge = self.potential, self.cells, self.surcharge
+        edge_filter, penalty = self.edge_filter, self.penalty
+        prices, span = self.coster.prices, self.coster.span
+        states = self.states
+        nz = states.nz
+        u = states.decode(s) if edge_filter is not None or penalty is not None else None
+        du = dist[s]
+        p = s // 24
+        pk = p * span
+        inf = math.inf
+        push = heapq.heappush
+        for w in states.moves(s, self.lo, self.hi, self.forward):
             if w in settled:
                 continue
-            if edge_filter is not None and not edge_filter(u, w):
+            p2 = w // 24
+            c2 = p2 // nz
+            if cells is not None and not cells[c2]:
                 continue
-            c = coster(u, w)
-            if penalty is not None:
-                p = penalty(u, w)
-                if p < 0.0:
-                    raise ValueError("negative edge penalty")
-                c += p
+            if edge_filter is not None and not edge_filter(u, states.decode(w)):
+                continue
+            key = pk + p2 if p < p2 else p2 * span + p
+            c = prices.get(key)
+            if c is None:
+                c = prices[key] = self.compute(*states.xyz(min(p, p2)), *states.xyz(max(p, p2)))
+            if surcharge is not None:
+                c = c + surcharge[c2]
+            elif penalty is not None:
+                extra = penalty(u, states.decode(w))
+                if not extra >= 0.0:
+                    raise ValueError("negative or NaN edge penalty")
+                c = c + extra
             nd = du + c
-            old = dist.get(w)
-            if old is None or nd < old:
+            if nd < dist.get(w, inf):
                 dist[w] = nd
-                parent[w] = u
-                heapq.heappush(heap, (nd + rows[w.y][w.x] if rows is not None else nd, w))
+                parent[w] = s
+                push(heap, (nd + potential[c2] if potential is not None else nd, w))
 
-    def rekey(self, rows: list[list[float]]) -> None:
-        """Key the open states by the potential ``rows``."""
-        dist, settled = self.dist, self.settled
-        self.rows = rows
-        self.heap = [(dist[w] + rows[w.y][w.x], w) for w in {w for _, w in self.heap if w not in settled}]
+    def rekey(self, potential: list[float]) -> None:
+        """Key the open states by ``potential``."""
+        dist, settled, nz = self.dist, self.settled, self.states.nz
+        self.potential = potential
+        self.heap = [(dist[w] + potential[w // 24 // nz], w) for w in {w for _, w in self.heap if w not in settled}]
         heapq.heapify(self.heap)
 
-    def cost(self, u: AugVertex) -> float:
-        return self.dist[u]
+    def cost(self, s: int) -> float:
+        return self.dist[s]
 
-    def mates(self, state: AugVertex) -> tuple:
-        """The settled items at ``state``."""
-        return (state,) if state in self.settled else ()
+    def flip(self, s: int) -> int:
+        return self.states.flip(s)
 
-    def chain(self, u: AugVertex) -> list[AugVertex]:
-        """The states from the origin to ``u``."""
-        states = [u]
+    def mates(self, s: int) -> tuple:
+        """The settled items at state ``s``."""
+        return (s,) if s in self.settled else ()
+
+    def chain(self, s: int) -> list[AugVertex]:
+        """The states from the origin to ``s``."""
+        chain = [s]
         parent = self.parent
-        while u in parent:
-            u = parent[u]
-            states.append(u)
-        states.reverse()
-        return states
+        while s in parent:
+            s = parent[s]
+            chain.append(s)
+        chain.reverse()
+        return [self.states.decode(s) for s in chain]
 
 
 def _settles(front, stats: SearchStats, deadline: Optional[float], label_cap: Optional[int]):
@@ -252,28 +324,27 @@ def _single_source(
     label_cap: Optional[int],
 ) -> Optional[Path]:
     coster = coster if coster is not None else EdgeCoster(grid, model)
-    rows = coster.astar_potential(mask, dst, build=False) if guided else None
+    potential = coster.cell_potential(mask, dst, build=False) if guided else None
     switch_at = -1
-    if guided and rows is None:
+    if guided and potential is None:
         # Start on the straight-line bound and build the planar field once
         # the query has spent about what a build costs (the ski-rental rule):
         # one build takes as long as nx*ny/2 to nx*ny/6 cold straight-line
         # settles on the benchmark maps, so switch after nx*ny/4.  A query
         # that ends sooner, like the 76-settle ones on the lane maps, never
         # pays for a field.
-        rows = straight_line_rows(grid, model, dst)
+        potential = x_major(straight_line_rows(grid, model, dst))
         switch_at = grid.nx * grid.ny // 4
-    sweep = _Sweep(grid, mask, coster, src, rows=rows, edge_filter=edge_filter, penalty=penalty)
-    dst_x, dst_y = dst
-    dst_z = ground_z_index(grid, dst_x, dst_y)
+    sweep = _Sweep(grid, mask, coster, src, potential=potential, edge_filter=edge_filter, penalty=penalty)
+    goal = coster.states.position(*_ground_cell(grid, dst))
     stats = stats if stats is not None else SearchStats()
-    for _, _, u, _ in _settles(sweep, stats, deadline, label_cap):
-        if u.x == dst_x and u.y == dst_y and u.z == dst_z:
-            return Path(vertices=sweep.chain(u), total_cost=0.0).price(coster)
+    for _, _, s, _ in _settles(sweep, stats, deadline, label_cap):
+        if s // 24 == goal:
+            return Path(vertices=sweep.chain(s), total_cost=0.0).price(coster)
         if len(sweep.settled) == switch_at:
             # The planar field is at least the straight-line bound, so
             # settle keys stay monotone across the switch.
-            sweep.rekey(coster.astar_potential(mask, dst))
+            sweep.rekey(coster.cell_potential(mask, dst))
     return None
 
 
@@ -391,8 +462,10 @@ class _LabelSide:
         self.heap: list = []
         self._held = 0
         self._seq = 0
-        for state in _seed_states(grid, mask, origin):
-            self._push(_Label(0.0, state, None))
+        x, y, z = _seed_cell(grid, mask, origin)
+        for h in range(8):
+            for v in (-1, 0, 1):
+                self._push(_Label(0.0, AugVertex(x, y, z, h, v), None))
 
     def _push(self, label: _Label) -> None:
         self._seq += 1
@@ -460,6 +533,8 @@ class _LabelSide:
     def cost(self, label: _Label) -> float:
         return label.cost
 
+    flip = staticmethod(flip_state)
+
     def mates(self, state: AugVertex) -> list[_Label]:
         """The settled labels at ``state``."""
         return self.settled.get(state, [])
@@ -521,15 +596,17 @@ class BidiEngine:
         self._cutoff = math.inf if cutoff is None else cutoff
         self._deadline = deadline
         self._label_cap = label_cap
-        rows_f = rows_b = None
-        if use_ikeda:
-            rows_f, rows_b = coster.astar_potential(mask, dst), coster.astar_potential(mask, src)
+        # Keyed by the A* potential to the far end, per column (one-label
+        # sides) or in rows (label sides), or by plain cost.
+        potential = (coster.cell_potential if labels == 1 else coster.astar_potential) if use_ikeda else None
+        to_dst = potential(mask, dst) if potential else None
+        to_src = potential(mask, src) if potential else None
         if labels == 1:
-            self._fwd = _Sweep(grid, mask, coster, src, True, rows_f)
-            self._bwd = _Sweep(grid, mask, coster, dst, False, rows_b)
+            self._fwd = _Sweep(grid, mask, coster, src, True, to_dst)
+            self._bwd = _Sweep(grid, mask, coster, dst, False, to_src)
         else:
-            self._fwd = _LabelSide(grid, mask, coster, src, True, labels, min_diff, max_diff, rows_f)
-            self._bwd = _LabelSide(grid, mask, coster, dst, False, labels, min_diff, max_diff, rows_b)
+            self._fwd = _LabelSide(grid, mask, coster, src, True, labels, min_diff, max_diff, to_dst)
+            self._bwd = _LabelSide(grid, mask, coster, dst, False, labels, min_diff, max_diff, to_src)
 
     def set_cutoff(self, cutoff: float) -> None:
         self._cutoff = cutoff
@@ -557,7 +634,7 @@ class BidiEngine:
         fwd, bwd = self._fwd, self._bwd
         for side, _, state, item in _settles(self, self.stats, self._deadline, self._label_cap):
             forward = side is fwd
-            for mate in (bwd if forward else fwd).mates(flip_state(state)):
+            for mate in (bwd if forward else fwd).mates(side.flip(state)):
                 f, b = (item, mate) if forward else (mate, item)
                 total = fwd.cost(f) + bwd.cost(b)
                 if total <= self._cutoff_bar():

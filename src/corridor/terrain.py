@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,17 @@ class TerrainGrid:
     def n_levels(self) -> int:
         """Number of vertical grid levels spanned by the terrain."""
         return self.z_max_index - self.z_min_index + 1
+
+    @cached_property
+    def neighbour_cells(self) -> list[int]:
+        """With the columns numbered x-major (``x * ny + y``), entry
+        ``8 * cell + h`` is the column one step along ``DIR8[h]``, or -1 off
+        the grid.  Built once per grid: searches read it on every settle."""
+        ny = self.ny
+        return [
+            (x + dx) * ny + y + dy if 0 <= x + dx < self.nx and 0 <= y + dy < ny else -1
+            for x in range(self.nx) for y in range(ny) for dx, dy in DIR8
+        ]
 
     # -- sampling ----------------------------------------------------------
 

@@ -90,6 +90,15 @@ class TestEdgeCost:
         u, w = AugVertex(0, 0, 10, 1, -1), AugVertex(1, 1, 9, 1, -1)
         assert EdgeCoster(g, CostModel())(u, w) == EdgeCoster(g, CostModel())(w, u)
 
+    def test_moves_off_the_hull_priced_apart(self, flat):
+        # The flat grid's hull is one level, so the cells (1, 0, 1) and
+        # (1, 1, 0) would share a memo position; each move keeps its price.
+        coster, m = EdgeCoster(flat, CostModel()), CostModel()
+        u = AugVertex(0, 0, 0, 0, 0)
+        for w in (AugVertex(1, 0, 1, 0, 1), AugVertex(1, 1, 0, 1, 0), AugVertex(1, 0, 1, 0, 1)):
+            direct = edge_cost(m, ((0.0, 0.0, 0.0), (w.x * 10.0, w.y * 10.0, float(w.z))), flat)
+            assert coster(u, w) == pytest.approx(direct, rel=1e-12)
+
 
 class TestHeuristic:
     def test_zero_at_destination(self):

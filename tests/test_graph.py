@@ -9,6 +9,7 @@ from corridor import TerrainGrid, expanding_height_mask, graph_stats, simple_hei
 from corridor.graph import (
     AugVertex,
     HeightMask,
+    StateNumbering,
     _snapped,
     flip_state,
     ground_z_index,
@@ -102,6 +103,40 @@ class TestEdgeSymmetry:
     def test_flip_involution(self):
         u = AugVertex(3, 4, 2, 6, -1)
         assert flip_state(flip_state(u)) == u
+
+
+@st.composite
+def numbered_grids(draw):
+    """A grid of :func:`small_instances` with its mask, or with a random
+    mask whose bands may leave the grid's hull or miss the ground."""
+    grid, _, mask, _, _ = draw(small_instances())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        lo = rng.integers(grid.z_min_index - 2, grid.z_max_index + 2, size=(grid.ny, grid.nx))
+        mask = HeightMask(lo, lo + rng.integers(0, 4, size=lo.shape))
+    return grid, mask
+
+
+@settings(max_examples=30, deadline=None)
+@given(numbered_grids())
+def test_state_numbering_and_moves(case):
+    # Over every state of the hull: the ints decode to their states and
+    # order as they do, and the arithmetic moves and flip are the graph's.
+    grid, mask = case
+    states = StateNumbering(grid)
+    lo, hi = states.bands(mask)
+    hull = [AugVertex(x, y, z, h, v) for x in range(grid.nx) for y in range(grid.ny)
+            for z in range(grid.z_min_index, grid.z_max_index + 1) for h in range(8) for v in (-1, 0, 1)]
+    ids = [states.encode(u) for u in hull]
+    assert [states.decode(s) for s in ids] == hull
+    assert sorted(ids, key=states.decode) == sorted(ids)
+    for u, s in zip(hull, ids):
+        forward = states.moves(s, lo, hi)
+        backward = states.moves(s, lo, hi, forward=False)
+        assert len(set(forward)) == len(forward) and len(set(backward)) == len(backward)
+        assert {states.decode(w) for w in forward} == set(successors3do(grid, u, mask))
+        assert {states.decode(w) for w in backward} == set(rev_successors3do(grid, u, mask))
+        assert states.decode(states.flip(s)) == flip_state(u)
 
 
 class TestSuccessors2do:
@@ -223,10 +258,14 @@ class TestBandSettings:
         with pytest.raises(ValueError, match=rf"^{end} \({point[0]}, {point[1]}\) outside grid"):
             expanding_height_mask(synth_terrain(1, 6, 4, 3.0), 0.5, 0.1, **ends)
 
-    def test_mask_holds_one_read_only_int32_band(self):
+    def test_mask_holds_one_read_only_narrow_band(self):
         m = simple_height_mask(synth_terrain(1, 5, 4, 3.0), 1.0, 1)
-        assert m.z_lo.dtype == m.z_hi.dtype == np.int32
+        assert m.z_lo.dtype == m.z_hi.dtype == np.int16
         assert m.z_lo.base is m.z_hi.base and not m.z_lo.base.flags.writeable
+        for top, dtype in ((2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32)):
+            wide = HeightMask(np.full((2, 2), -top), np.full((2, 2), top))
+            assert wide.z_lo.dtype == wide.z_hi.dtype == dtype
+            assert (wide.z_lo == -top).all() and (wide.z_hi == top).all()
         with pytest.raises(ValueError, match="32 bits"):
             HeightMask(np.zeros((2, 2)), np.full((2, 2), 2**31))
 

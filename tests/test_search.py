@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from corridor import CostModel, HeightMask, MultipathConfig, TerrainGrid, bidi_engine, simple_height_mask, solve
 from corridor.cost import EdgeCoster
 from corridor.graph import AugVertex, ground_z_index, successors3do
-from corridor.search import SearchStats, _LabelSide, _settles, astar, dijkstra
+from corridor.multipath import _corridor_penalty
+from corridor.search import CellFilter, CellPenalty, SearchStats, _LabelSide, _settles, astar, dijkstra
 from corridor.terrain import synth_terrain
 
 from conftest import flat_grid, lane_grid
@@ -167,6 +168,69 @@ class TestAstar:
         astar(grid, model, mask, src, dst, stats=stats)
         keys = stats.settle_keys
         assert all(a <= b + 1e-12 for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("search", [dijkstra, astar])
+def test_nan_penalty_rejected(model, search):
+    # With the penalty NaN on edges into row 2, dijkstra used to return a
+    # cost of 98.28 (a detour via row 4) and astar 92.43 (through row 2).
+    g = flat_grid(nx=8, ny=5)
+    with pytest.raises(ValueError, match="NaN"):
+        search(g, model, None, (0, 2), (7, 2), penalty=lambda u, w: math.nan if w.y == 2 else 0.0)
+
+
+@pytest.mark.parametrize("search", [dijkstra, astar])
+@pytest.mark.parametrize("src, dst", [((0, 2), (1, -1)), ((0, 2), (8, 0)), ((-1, 2), (7, 2)), ((0, 5), (7, 2))])
+def test_endpoints_off_the_grid_rejected(model, search, src, dst):
+    # States are numbered x-major, so (1, -1) would be read as (0, 4).
+    with pytest.raises(ValueError, match="outside grid"):
+        search(flat_grid(nx=8, ny=5), model, None, src, dst)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_cell_penalty_rows_checked_when_built(bad):
+    rows = [[0.0] * 4 for _ in range(3)]
+    rows[1][2] = bad
+    with pytest.raises(ValueError, match="negative or NaN"):
+        CellPenalty(flat_grid(nx=4, ny=3), rows)
+
+
+@st.composite
+def cell_rules(draw):
+    """An instance with blocked columns and a penalty per column."""
+    inst = draw(small_instances())
+    grid = inst[0]
+    cells = [(x, y) for x in range(grid.nx) for y in range(grid.ny)]
+    blocked = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
+    levels = st.sampled_from((0.0, 0.5, 2.0, 7.25, 40.0))
+    rows = draw(st.lists(st.lists(levels, min_size=grid.nx, max_size=grid.nx), min_size=grid.ny, max_size=grid.ny))
+    return inst, blocked, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_rules(), st.booleans(), st.sampled_from((10.0, 40.0, 160.0)))
+def test_cell_rules_search_as_callables(case, guided, width):
+    # se's walls and ipa's surcharge are read per column; as (u, w)
+    # callables the same rules give the same path, cost and settles.
+    (grid, model, mask, src, dst), blocked, rows = case
+    search = astar if guided else dijkstra
+    best = search(grid, model, mask, src, dst)
+    accepted = [] if best is None else [best]
+    ipa = _corridor_penalty(grid, accepted, width)
+    cases = [
+        (dict(edge_filter=CellFilter(grid, blocked)), dict(edge_filter=lambda u, w: (w.x, w.y) not in blocked)),
+        (dict(penalty=CellPenalty(grid, rows)), dict(penalty=lambda u, w: rows[w.y][w.x])),
+        (dict(penalty=ipa), dict(penalty=lambda u, w: ipa.by_cell[w.x * grid.ny + w.y])),
+        (dict(edge_filter=CellFilter(grid, blocked), penalty=CellPenalty(grid, rows)),
+         dict(edge_filter=lambda u, w: (w.x, w.y) not in blocked, penalty=lambda u, w: rows[w.y][w.x])),
+    ]
+    for per_cell, per_edge in cases:
+        runs = []
+        for rules in (per_cell, per_edge):
+            stats = SearchStats()
+            p = search(grid, model, mask, src, dst, stats=stats, **rules)
+            runs.append((None if p is None else (p.vertices, repr(p.total_cost)), stats.expansions))
+        assert runs[0] == runs[1]
 
 
 class TestBidiEngine:

@@ -13,12 +13,16 @@ cases of :func:`counts` with ``bds``, ``hybrid`` and ``kspa``, A* on and
 off, and with ``se`` and ``ipa``, A* on, and runs the benchmark's
 best-corridor ``astar`` query per map and mask, all with each checkout's
 library.  It records the deterministic counts (expansions, iterations, peak
-labels), the solved flag, the path costs and the CPU seconds of each.
+labels), the solved flag, the path costs, a digest of each returned vertex
+list and the CPU seconds of each.  Last it measures the one-label settle
+rate of each checkout (:func:`settle_rate`), alternating the two, and keeps
+the best of ``RATE_RUNS`` per map.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -34,6 +38,15 @@ SEED = 1
 SECONDS = 30
 COUNTED = ("bds", "hybrid", "kspa")
 GUIDED = ("se", "ipa")  # A* re-searches: each query starts unguided by the planar field
+RATE_RUNS = 3
+# One-label settle rates: HR Dijkstra on relief-best's map and on a 100x50 map.
+RATE_MAPS = {"synth-5-60x30": ((5, 60, 30, 20.0), (0, 15), (59, 15)),
+             "synth-3-100x50": ((3, 100, 50, 20.0), (0, 25), (99, 25))}
+
+
+def digest(path) -> str:
+    """A short hash of a path's vertex list, as plain (x, y, z, h, v) tuples."""
+    return hashlib.sha256(repr([tuple(v) for v in path.vertices]).encode()).hexdigest()[:16]
 
 
 def counts(checkout: str) -> dict:
@@ -58,7 +71,7 @@ def counts(checkout: str) -> dict:
             path = corridor.astar(grid, model, bench.make_mask(corridor, grid, model, spec, kind),
                                   spec.src, spec.dst, stats=stats)
             out[f"{spec.name}/{kind}/best"] = dict(
-                expansions=stats.expansions, costs=[repr(path.total_cost)],
+                expansions=stats.expansions, costs=[repr(path.total_cost)], paths=[digest(path)],
                 cpu_s=round(time.process_time() - t0, 3),
             )
     cases = [(bench.LANES_A, 3), (bench.LANES_B, 3), (bench.LANES_A, 1), (bench.RELIEF_2, 3), (bench.RELIEF_5, 3)]
@@ -73,8 +86,31 @@ def counts(checkout: str) -> dict:
                 out[f"{spec.name}/hr{r}/{alg}/{'astar' if use_astar else 'plain'}"] = dict(
                     expansions=res.expansions, iterations=res.iterations, peak_labels=res.peak_labels,
                     solved=res.solved, costs=[repr(p.total_cost) for p in res.paths],
+                    paths=[digest(p) for p in res.paths],
                     cpu_s=round(time.process_time() - t0, 3),
                 )
+    return out
+
+
+def settle_rate(checkout: str) -> dict:
+    """Per map of ``RATE_MAPS``: settles per CPU second of one HR Dijkstra
+    query on a cold price memo, and of the same query again on the memo it
+    filled (warm)."""
+    sys.path[:0] = [os.path.join(checkout, "src")]
+    import corridor
+
+    out = {}
+    for name, (recipe, src, dst) in RATE_MAPS.items():
+        grid = corridor.synth_terrain(*recipe)
+        model = corridor.CostModel()
+        mask = corridor.simple_height_mask(grid, 1.0, 3)
+        coster = corridor.EdgeCoster(grid, model)
+        for memo in ("cold", "warm"):
+            stats = corridor.SearchStats()
+            t0 = time.process_time()
+            corridor.dijkstra(grid, model, mask, src, dst, stats=stats, coster=coster)
+            out[f"{name}/{memo}"] = stats.expansions / (time.process_time() - t0)
+        out[f"{name}/settles"] = stats.expansions
     return out
 
 
@@ -96,10 +132,19 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def own_process(mode: str, checkout: str) -> dict:
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), mode, checkout],
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--counts"]:  # one checkout's counts, in a process of its own
         print(json.dumps(counts(argv[1])))
+        return 0
+    if argv[:1] == ["--rate"]:  # one checkout's settle rates, in a process of its own
+        print(json.dumps(settle_rate(argv[1])))
         return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -109,7 +154,7 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     record = {"machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
               "command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
-              "end_to_end": {}, "counts": {}}
+              "end_to_end": {}, "counts": {}, "settle_rate": {}}
     for workload in WORKLOADS:
         runs = {side: [] for side in sides}
         for i in range(PAIRS):
@@ -118,9 +163,13 @@ def main(argv=None) -> int:
                 print(workload, side, json.dumps(runs[side][-1]["metrics"]), file=sys.stderr)
         record["end_to_end"][workload] = {side: summary(r) for side, r in runs.items()}
     for side, checkout in sides.items():
-        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--counts", checkout],
-                              capture_output=True, text=True, check=True)
-        record["counts"][side] = json.loads(done.stdout)
+        record["counts"][side] = own_process("--counts", checkout)
+    rates = {side: [] for side in sides}
+    for i in range(RATE_RUNS):
+        for side in (sides if i % 2 == 0 else reversed(sides)):
+            rates[side].append(own_process("--rate", sides[side]))
+    record["settle_rate"] = {side: {key: max(r[key] for r in runs) for key in runs[0]}
+                             for side, runs in rates.items()}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
