@@ -91,8 +91,8 @@ class EdgeCoster:
     The midpoint ground elevation is computed in closed form (orthogonal:
     mean of the endpoints, diagonal: mean of the 4 cell corners — both
     exactly the bilinear value).  Any other move raises ``ValueError``, and
-    both states must lie on the grid.  Calls and one-label sweeps share one
-    int-keyed memo, ``prices``, of the moves within the grid's vertical
+    both states must lie on the grid.  Calls and every search side share
+    one int-keyed memo, ``prices``, of the moves within the grid's vertical
     hull.  The coster also memoises the clipped bands of each mask and the
     A* potential of each (mask, destination), for every search of a solve.
     """
@@ -109,12 +109,14 @@ class EdgeCoster:
         self.span = grid.nx * grid.ny * grid.n_levels
         self.prices: dict[int, float] = {}
         self._hull = (grid.ny, grid.n_levels, grid.z_min_index, grid.z_max_index + 1)
-        # id(mask) -> (mask, bands) and (id(mask), dst) -> (mask, potential
-        # rows, the same per column x-major or None); each entry holds the
-        # mask so its id cannot be reused by another mask while it lives.
+        # id(mask) -> (mask, bands) and (id(mask), dst) -> (mask, potential);
+        # each entry holds the mask so its id cannot be reused by another
+        # mask while it lives.
         self._bands: dict[int, tuple] = {}
-        self._potentials: dict[tuple, list] = {}
+        self._potentials: dict[tuple, tuple] = {}
 
+    # Path.price calls this per edge; perfbench/tracing.py rebinds it and
+    # _compute to count prices and memo misses, so both names stay.
     def __call__(self, u: AugVertex, w: AugVertex) -> float:
         x0, y0, z0, _, _ = u
         x1, y1, z1, _, _ = w
@@ -190,35 +192,21 @@ class EdgeCoster:
 
     def astar_potential(
         self, mask: Optional[HeightMask], dst: tuple[int, int], build: bool = True
-    ) -> Optional[list[list[float]]]:
-        """Rows ``[y][x]`` of the A* potential toward ``dst``: the larger of
-        the straight-line bound and :func:`planar_bound`.  Both are consistent,
-        so their maximum is too.  Built once per (mask, dst) and memoised;
-        with ``build=False`` only a memoised table is returned, else None."""
-        entry = self._potential(mask, dst, build)
-        return None if entry is None else entry[1]
-
-    def cell_potential(
-        self, mask: Optional[HeightMask], dst: tuple[int, int], build: bool = True
     ) -> Optional[list[float]]:
-        """:meth:`astar_potential` per column numbered x-major (``x * ny + y``),
-        memoised with it."""
-        entry = self._potential(mask, dst, build)
-        if entry is None:
-            return None
-        if entry[2] is None:
-            entry[2] = x_major(entry[1])
-        return entry[2]
-
-    def _potential(self, mask, dst, build) -> Optional[list]:
+        """The A* potential toward ``dst`` per column numbered x-major
+        (``x * ny + y``): the larger of the straight-line bound and
+        :func:`planar_bound`.  Both are consistent, so their maximum is too.
+        Built once per (mask, dst) and memoised; with ``build=False`` only a
+        memoised potential is returned, else None."""
         key = (id(mask), (int(dst[0]), int(dst[1])))
         entry = self._potentials.get(key)
-        if entry is None and build:
-            planar = planar_bound(self.grid, self.model, mask, key[1]).tolist()
-            straight = straight_line_rows(self.grid, self.model, key[1])
-            rows = [list(map(max, line, row)) for line, row in zip(straight, planar)]
-            entry = self._potentials[key] = [mask, rows, None]
-        return entry
+        if entry is None:
+            if not build:
+                return None
+            straight = x_major(straight_line_rows(self.grid, self.model, key[1]))
+            planar = planar_bound(self.grid, self.model, mask, key[1]).T.ravel().tolist()
+            entry = self._potentials[key] = (mask, list(map(max, straight, planar)))
+        return entry[1]
 
 
 def x_major(rows: list[list[float]]) -> list[float]:

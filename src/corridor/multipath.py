@@ -39,13 +39,14 @@ from .dissimilarity import (
     pairwise_areas,
 )
 # perfbench/tracing.py rebinds the successor functions here too, so they stay imported.
-from .graph import AugVertex, ground_z_index, rev_successors3do, successors3do
+from .graph import AugVertex, rev_successors3do, successors3do
 from .search import (
     CellFilter,
     CellPenalty,
     Path,
     SearchStats,
     _LabelSide,
+    _ground_cell,
     _settles,
     astar,
     bidi_engine,
@@ -86,6 +87,8 @@ class MultipathConfig:
             raise ValueError("timeout must be >= 0")
         if self.ka < 1:
             raise ValueError("ka must be >= 1")
+        if self.label_cap < 1:
+            raise ValueError("label_cap must be >= 1")
 
 
 @dataclass
@@ -367,10 +370,9 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
     sweep is keyed by the A* potential to the destination, as :func:`astar`
     and the bidirectional engine are."""
     run = _Solve("kspa", grid, model, mask, src, dst, cfg)
-    rows = run.coster.astar_potential(mask, dst) if cfg.use_astar else None
-    side = _LabelSide(grid, mask, run.coster, src, True, cfg.k, cfg.min_diff, cfg.max_diff, rows)
-    dst_x, dst_y = dst
-    dst_z = ground_z_index(grid, dst_x, dst_y)
+    potential = run.coster.astar_potential(mask, dst) if cfg.use_astar else None
+    side = _LabelSide(grid, mask, run.coster, src, True, cfg.k, cfg.min_diff, cfg.max_diff, potential)
+    goal = run.coster.states.position(*_ground_cell(grid, dst))
     dst_paths: list[Path] = []
     opt_cost: Optional[float] = None
 
@@ -379,7 +381,7 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
         # label reaches the destination too expensive.
         if opt_cost is not None and key > cost_bar(opt_cost, cfg.max_diff):
             break
-        if s.x == dst_x and s.y == dst_y and s.z == dst_z:
+        if s // 24 == goal:
             cand = Path(vertices=side.chain(label), total_cost=0.0).price(run.coster)
             if opt_cost is None:
                 opt_cost = cand.total_cost

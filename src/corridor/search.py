@@ -1,18 +1,18 @@
 """Shortest-path engines over the implicit oriented 3D grid graph.
 
 Two kinds of sweep serve every search, driven by one settle loop that holds
-the deadline, the label cap and the counters.  A :class:`_Sweep` keeps one
-label per state, on states numbered by ints
-(:class:`~corridor.graph.StateNumbering`): its moves are arithmetic, its
-labels and the price memo are int-keyed dicts, and an
+the deadline, the label cap and the counters.  Both run on states numbered
+by ints (:class:`~corridor.graph.StateNumbering`): moves are arithmetic,
+labels and the price memo are int-keyed dicts, a guided side adds the A*
+potential of the state's column to each key, and an
 :class:`~corridor.graph.AugVertex` is built only for a returned path or a
-caller's per-edge rule.  :func:`dijkstra` and :func:`astar` run one, and
-the :class:`BidiEngine` grows two towards each other (``bds``), always the
-one whose lowest key is smaller, and exposes settled meeting states as a
-stream of paths.  A :class:`_LabelSide` keeps several mutually dissimilar
-labels per :class:`~corridor.graph.AugVertex` state: the engine grows two
-of them for ``hybrid``, and one on its own is the ``kspa`` sweep.  All of
-them
+caller's per-edge rule.  A :class:`_Sweep` keeps one label per state:
+:func:`dijkstra` and :func:`astar` run one, and the :class:`BidiEngine`
+grows two towards each other (``bds``), always the one whose lowest key is
+smaller, and exposes settled meeting states as a stream of paths.  A
+:class:`_LabelSide` keeps several mutually dissimilar labels per state: the
+engine grows two of them for ``hybrid``, and one on its own is the
+``kspa`` sweep.  All of them
 
   * seed the source position with all 24 (h, v) orientations at cost 0 and
     accept any orientation at the destination,
@@ -34,15 +34,9 @@ from typing import Callable, Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, straight_line_rows, x_major
 from .dissimilarity import ADD, REJECT, Profile, area_cells, cost_bar, place
-from .graph import (
-    AugVertex,
-    HeightMask,
-    check_mask_shape,
-    flip_state,
-    ground_z_index,
-    rev_successors3do,
-    successors3do,
-)
+# perfbench/tracing.py rebinds the successor functions here, so they stay
+# imported; only Path.validate calls one.
+from .graph import AugVertex, HeightMask, check_mask_shape, ground_z_index, rev_successors3do, successors3do
 from .terrain import TerrainGrid
 
 EdgeFilter = Callable[[AugVertex, AugVertex], bool]
@@ -107,15 +101,6 @@ def _ground_cell(grid, xy) -> tuple[int, int, int]:
     return x, y, ground_z_index(grid, x, y)
 
 
-def _seed_cell(grid, mask, xy) -> tuple[int, int, int]:
-    """The ground cell at ``xy``, where every search seeds its 24 states."""
-    check_mask_shape(grid, mask)
-    x, y, z = _ground_cell(grid, xy)
-    if mask is not None and not mask.admits(x, y, z):
-        raise ValueError(f"ground level at {xy} not admissible under mask")
-    return x, y, z
-
-
 class CellFilter:
     """An edge filter that admits a move unless it enters a blocked column:
     a search reads it per column instead of calling it per edge."""
@@ -145,20 +130,58 @@ class CellPenalty:
         return self.by_cell[w.x * self.ny + w.y]
 
 
-class _Sweep:
-    """One direction of a one-label sweep over the int states of
-    :class:`~corridor.graph.StateNumbering`: each state keeps its cheapest
+class _Side:
+    """The setup both side types share: the 24 seed states at the origin's
+    ground cell, the mask's bands, the coster's price memo and the optional
+    ``potential``, consistent per column numbered x-major and added to each
+    heap key.  A backward side stores states in reverse orientation and
+    advances through the reversed graph; a unit move costs the same in
+    either direction."""
+
+    def __init__(
+        self,
+        grid: TerrainGrid,
+        mask: Optional[HeightMask],
+        coster: EdgeCoster,
+        origin: tuple[int, int],
+        forward: bool,
+        potential: Optional[list[float]],
+    ):
+        check_mask_shape(grid, mask)
+        x, y, z = _ground_cell(grid, origin)
+        if mask is not None and not mask.admits(x, y, z):
+            raise ValueError(f"ground level at {origin} not admissible under mask")
+        self.states = coster.states
+        self.coster = coster
+        # Looked up on the instance, so that a rebound _compute sees each miss.
+        self.compute = coster._compute
+        self.forward = forward
+        self.potential = potential
+        self.lo, self.hi = coster.bands(mask)
+        first = 24 * self.states.position(x, y, z)
+        self.seeds = range(first, first + 24)
+        self.seed_key = potential[x * grid.ny + y] if potential is not None else 0.0
+        self.heap: list = []
+
+    def pick(self) -> Optional[_Side]:
+        return self if self.heap else None
+
+    def chain(self, item) -> list[AugVertex]:
+        """The states from the origin to ``item``'s tip."""
+        chain = list(self.trail(item))
+        chain.reverse()
+        return [self.states.decode(s) for s in chain]
+
+
+class _Sweep(_Side):
+    """One direction of a one-label sweep: each state keeps its cheapest
     cost in the int-keyed dict ``dist`` and its predecessor in ``parent``,
     as in Dijkstra, so memory grows with the states touched.
 
-    ``potential``, if given, is a consistent potential per column numbered
-    x-major, added to each heap key, and :meth:`rekey` swaps in one that is
-    nowhere smaller.  A backward sweep stores states in reverse orientation
-    and advances through the reversed graph; ``edge_filter`` and ``penalty``
-    see each move ``(u, w)`` in the sweep's own direction, and the price of
-    a unit move does not depend on its direction.  Prices come from the
-    coster's int-keyed memo; a :class:`CellFilter` or :class:`CellPenalty`
-    is read per column, and only another callable is given the move's
+    :meth:`rekey` swaps in a potential that is nowhere smaller.
+    ``edge_filter`` and ``penalty`` see each move ``(u, w)`` in the sweep's
+    own direction; a :class:`CellFilter` or :class:`CellPenalty` is read per
+    column, and only another callable is given the move's
     :class:`AugVertex` pair.  Heap entries are ``(key, state)``, and a
     popped entry whose state has settled is skipped.
     """
@@ -174,27 +197,15 @@ class _Sweep:
         edge_filter: Optional[EdgeFilter] = None,
         penalty: Optional[EdgePenalty] = None,
     ):
-        x, y, z = _seed_cell(grid, mask, origin)
-        self.states = states = coster.states
-        self.coster = coster
-        # Looked up on the instance, so that a rebound _compute sees each miss.
-        self.compute = coster._compute
-        self.forward = forward
-        self.potential = potential
-        self.lo, self.hi = coster.bands(mask)
+        super().__init__(grid, mask, coster, origin, forward, potential)
         self.cells = edge_filter.open if isinstance(edge_filter, CellFilter) else None
         self.edge_filter = None if self.cells is not None else edge_filter
         self.surcharge = penalty.by_cell if isinstance(penalty, CellPenalty) else None
         self.penalty = None if self.surcharge is not None else penalty
-        first = 24 * states.position(x, y, z)
-        self.dist: dict[int, float] = dict.fromkeys(range(first, first + 24), 0.0)
+        self.dist: dict[int, float] = dict.fromkeys(self.seeds, 0.0)
         self.parent: dict[int, int] = {}
         self.settled: set[int] = set()
-        key = potential[x * grid.ny + y] if potential is not None else 0.0
-        self.heap = [(key, s) for s in self.dist]
-
-    def pick(self) -> Optional[_Sweep]:
-        return self if self.heap else None
+        self.heap = [(self.seed_key, s) for s in self.seeds]
 
     def held(self) -> int:
         return len(self.dist)
@@ -257,22 +268,17 @@ class _Sweep:
     def cost(self, s: int) -> float:
         return self.dist[s]
 
-    def flip(self, s: int) -> int:
-        return self.states.flip(s)
-
     def mates(self, s: int) -> tuple:
         """The settled items at state ``s``."""
         return (s,) if s in self.settled else ()
 
-    def chain(self, s: int) -> list[AugVertex]:
-        """The states from the origin to ``s``."""
-        chain = [s]
+    def trail(self, s: int) -> Iterator[int]:
+        """The states from ``s`` back to the origin."""
         parent = self.parent
+        yield s
         while s in parent:
             s = parent[s]
-            chain.append(s)
-        chain.reverse()
-        return [self.states.decode(s) for s in chain]
+            yield s
 
 
 def _settles(front, stats: SearchStats, deadline: Optional[float], label_cap: Optional[int]):
@@ -324,7 +330,7 @@ def _single_source(
     label_cap: Optional[int],
 ) -> Optional[Path]:
     coster = coster if coster is not None else EdgeCoster(grid, model)
-    potential = coster.cell_potential(mask, dst, build=False) if guided else None
+    potential = coster.astar_potential(mask, dst, build=False) if guided else None
     switch_at = -1
     if guided and potential is None:
         # Start on the straight-line bound and build the planar field once
@@ -344,7 +350,7 @@ def _single_source(
         if len(sweep.settled) == switch_at:
             # The planar field is at least the straight-line bound, so
             # settle keys stay monotone across the switch.
-            sweep.rekey(coster.cell_potential(mask, dst))
+            sweep.rekey(coster.astar_potential(mask, dst))
     return None
 
 
@@ -408,19 +414,20 @@ def astar(
 
 class _Label(Profile):
     """A partial path of a multi-label side: cost, tip state, parent link and
-    the lateral :class:`~corridor.dissimilarity.Profile` of its states."""
+    the lateral :class:`~corridor.dissimilarity.Profile` of its states; the
+    tip's column is ``(x, y)``."""
 
     __slots__ = ("cost", "state", "parent", "alive")
 
-    def __init__(self, cost, state, parent):
+    def __init__(self, cost, state, parent, x, y):
         self.cost = cost
         self.state = state
         self.parent = parent
         self.alive = True
-        Profile.__init__(self, parent, state.x, state.y)
+        Profile.__init__(self, parent, x, y)
 
 
-class _LabelSide:
+class _LabelSide(_Side):
     """One direction of a multi-label sweep, up to ``cap`` mutually
     dissimilar labels per state, with the settle interface of :class:`_Sweep`.
 
@@ -445,34 +452,31 @@ class _LabelSide:
         cap: int,
         min_diff: float,
         max_diff: float,
-        rows: Optional[list[list[float]]] = None,
+        potential: Optional[list[float]] = None,
     ):
+        super().__init__(grid, mask, coster, origin, forward, potential)
         self.grid = grid
-        self.mask = mask
-        self.coster = coster
-        self.forward = forward
         self.cap = cap
         self.min_diff = min_diff
         self.max_diff = max_diff
-        self.rows = rows
         self.origin = origin
-        self.labels: dict[AugVertex, list[_Label]] = {}
-        self.settled: dict[AugVertex, list[_Label]] = {}
-        self.closed: set[AugVertex] = set()
-        self.heap: list = []
+        self.per_column = 24 * self.states.nz
+        self.labels: dict[int, list[_Label]] = {}
+        self.settled: dict[int, list[_Label]] = {}
+        self.closed: set[int] = set()
         self._held = 0
         self._seq = 0
-        x, y, z = _seed_cell(grid, mask, origin)
-        for h in range(8):
-            for v in (-1, 0, 1):
-                self._push(_Label(0.0, AugVertex(x, y, z, h, v), None))
+        for s in self.seeds:
+            self._push(_Label(0.0, s, None, *origin))
 
     def _push(self, label: _Label) -> None:
         self._seq += 1
         state = label.state
         self.labels.setdefault(state, []).append(label)
         self._held += 1
-        key = label.cost + self.rows[state.y][state.x] if self.rows is not None else label.cost
+        key = label.cost
+        if self.potential is not None:
+            key += self.potential[state // self.per_column]
         heapq.heappush(self.heap, (key, state, self._seq, label))
 
     def _kill(self, label: _Label) -> None:
@@ -480,13 +484,10 @@ class _LabelSide:
         self.labels[label.state].remove(label)
         self._held -= 1
 
-    def pick(self) -> Optional[_LabelSide]:
-        return self if self.heap else None
-
     def held(self) -> int:
         return self._held
 
-    def pop_settle(self) -> Optional[tuple[float, AugVertex, _Label]]:
+    def pop_settle(self) -> Optional[tuple[float, int, _Label]]:
         heap = self.heap
         while heap:
             key, state, _, label = heapq.heappop(heap)
@@ -499,19 +500,28 @@ class _LabelSide:
         return None
 
     def relax(self, label: _Label) -> None:
-        u, cost, closed, coster = label.state, label.cost, self.closed, self.coster
-        for w in (successors3do if self.forward else rev_successors3do)(self.grid, u, self.mask):
-            if w not in closed:
-                self._keep_dissimilar(label, w, cost + coster(u, w))
+        s, cost, closed, keep = label.state, label.cost, self.closed, self._keep_dissimilar
+        prices, span, xyz = self.coster.prices, self.coster.span, self.states.xyz
+        p = s // 24
+        pk = p * span
+        for w in self.states.moves(s, self.lo, self.hi, self.forward):
+            if w in closed:
+                continue
+            p2 = w // 24
+            key = pk + p2 if p < p2 else p2 * span + p
+            c = prices.get(key)
+            if c is None:
+                c = prices[key] = self.compute(*xyz(min(p, p2)), *xyz(max(p, p2)))
+            keep(label, w, cost + c)
 
-    def _stop_cells(self, state: AugVertex) -> float:
-        # min_diff percent of the map width times the distance from the
-        # origin (at least one cell), as an area in grid cells.
+    def _stop_cells(self, x: int, y: int) -> float:
+        # min_diff percent of the map width times the distance of the column
+        # (x, y) from the origin (at least one cell), as an area in grid cells.
         dxy = self.grid.dxy
-        norm = max(math.hypot(state.x - self.origin[0], state.y - self.origin[1]) * dxy, dxy)
+        norm = max(math.hypot(x - self.origin[0], y - self.origin[1]) * dxy, dxy)
         return self.min_diff * self.grid.width_m * norm / (100.0 * dxy * dxy)
 
-    def _keep_dissimilar(self, parent: _Label, state: AugVertex, cost: float) -> None:
+    def _keep_dissimilar(self, parent: _Label, state: int, cost: float) -> None:
         bucket = self.labels.get(state)
         cheapest = min(l.cost for l in bucket) if bucket else math.inf
         if cost > cost_bar(cheapest, self.max_diff):
@@ -519,9 +529,10 @@ class _LabelSide:
         if bucket and cost < cheapest:
             for other in [l for l in bucket if l.cost > cost_bar(cost, self.max_diff)]:
                 self._kill(other)
-        label = _Label(cost, state, parent)
+        x, y = divmod(state // self.per_column, self.grid.ny)
+        label = _Label(cost, state, parent, x, y)
         if bucket:
-            stop, mine = self._stop_cells(state), label.means()
+            stop, mine = self._stop_cells(x, y), label.means()
             similar = [i for i, other in enumerate(bucket) if area_cells(mine, other.means(), stop) < stop]
             decision = place([l.cost for l in bucket], similar, cost, self.cap)
             if decision is REJECT:
@@ -533,21 +544,16 @@ class _LabelSide:
     def cost(self, label: _Label) -> float:
         return label.cost
 
-    flip = staticmethod(flip_state)
-
-    def mates(self, state: AugVertex) -> list[_Label]:
+    def mates(self, state: int) -> list[_Label]:
         """The settled labels at ``state``."""
         return self.settled.get(state, [])
 
-    def chain(self, label: _Label) -> list[AugVertex]:
-        """The states from the origin to ``label``'s tip."""
-        states = []
+    def trail(self, label: _Label) -> Iterator[int]:
+        """The states from ``label``'s tip back to the origin."""
         l: Optional[_Label] = label
         while l is not None:
-            states.append(l.state)
+            yield l.state
             l = l.parent
-        states.reverse()
-        return states
 
 
 class BidiEngine:
@@ -555,13 +561,15 @@ class BidiEngine:
 
     Each direction is a :class:`_Sweep` when ``labels`` is 1, else a
     :class:`_LabelSide` keeping up to ``labels`` labels per state, whose
-    per-state rule ``min_diff`` and ``max_diff`` set.  With ``use_ikeda``
-    each side is keyed by the A* potential to its far end
+    per-state rule ``min_diff`` and ``max_diff`` set; both run on int
+    states.  With ``use_ikeda`` each side is keyed by the per-column A*
+    potential to its far end
     (:meth:`~corridor.cost.EdgeCoster.astar_potential`), else by plain
-    cost.  The backward search runs on the reversed graph
-    with states stored in reverse orientation (``flip_state``); a forward
-    label with orientation (h, v) therefore pairs with the backward labels
-    at (h+4 mod 8, -v) on the same position — other orientation pairs are
+    cost.  The backward search runs on the reversed graph with states
+    stored in reverse orientation
+    (:meth:`~corridor.graph.StateNumbering.flip`); a forward label with
+    orientation (h, v) therefore pairs with the backward labels at
+    (h+4 mod 8, -v) on the same position — other orientation pairs are
     distinct meets.  Each settle yields one unpriced :class:`Path` per
     settled label at its mate state: the two labels' chains joined, with
     the sum of their costs as ``total_cost``.
@@ -596,11 +604,8 @@ class BidiEngine:
         self._cutoff = math.inf if cutoff is None else cutoff
         self._deadline = deadline
         self._label_cap = label_cap
-        # Keyed by the A* potential to the far end, per column (one-label
-        # sides) or in rows (label sides), or by plain cost.
-        potential = (coster.cell_potential if labels == 1 else coster.astar_potential) if use_ikeda else None
-        to_dst = potential(mask, dst) if potential else None
-        to_src = potential(mask, src) if potential else None
+        to_dst = coster.astar_potential(mask, dst) if use_ikeda else None
+        to_src = coster.astar_potential(mask, src) if use_ikeda else None
         if labels == 1:
             self._fwd = _Sweep(grid, mask, coster, src, True, to_dst)
             self._bwd = _Sweep(grid, mask, coster, dst, False, to_src)
@@ -634,16 +639,18 @@ class BidiEngine:
         fwd, bwd = self._fwd, self._bwd
         for side, _, state, item in _settles(self, self.stats, self._deadline, self._label_cap):
             forward = side is fwd
-            for mate in (bwd if forward else fwd).mates(side.flip(state)):
+            for mate in (bwd if forward else fwd).mates(side.states.flip(state)):
                 f, b = (item, mate) if forward else (mate, item)
                 total = fwd.cost(f) + bwd.cost(b)
                 if total <= self._cutoff_bar():
                     yield self._meet(f, b, total)
 
     def _meet(self, f, b, total: float) -> Path:
-        back = self._bwd.chain(b)
-        back.pop()
-        return Path(vertices=self._fwd.chain(f) + [flip_state(s) for s in reversed(back)], total_cost=total)
+        bwd = self._bwd
+        states, back = bwd.states, bwd.trail(b)
+        next(back)  # the meeting state, already the forward chain's tip
+        tail = [states.decode(states.flip(s)) for s in back]
+        return Path(vertices=self._fwd.chain(f) + tail, total_cost=total)
 
 
 # The engine's constructor is the public entry point; iterate ``events()``.

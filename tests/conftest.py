@@ -59,8 +59,8 @@ def one_label_path(grid, model, mask, src, dst):
     coster = EdgeCoster(grid, model)
     cfg = MultipathConfig()
     side = _LabelSide(grid, mask, coster, src, True, 1, cfg.min_diff, cfg.max_diff)
-    goal = (*dst, ground_z_index(grid, *dst))
-    found = next((l for _, _, s, l in _settles(side, SearchStats(), None, None) if (s.x, s.y, s.z) == goal), None)
+    position = coster.states.position(*dst, ground_z_index(grid, *dst))
+    found = next((l for _, _, s, l in _settles(side, SearchStats(), None, None) if s // 24 == position), None)
     if found is None:
         return None
     return Path(vertices=side.chain(found), total_cost=0.0).price(coster)

@@ -53,7 +53,7 @@ def test_consistent_on_every_edge(inst):
         # A fresh coster per direction: the memo keeps whichever it priced first.
         for u, w in (((x, y, z), (x1, y1, z1)), ((x1, y1, z1), (x, y, z))):
             c = EdgeCoster(grid, model)._compute(*u, *w)
-            assert h[u[1]][u[0]] <= c + h[w[1]][w[0]]
+            assert h[u[0] * grid.ny + u[1]] <= c + h[w[0] * grid.ny + w[1]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,7 +74,7 @@ def test_unit_moves_priced_the_same_both_ways(inst):
 def test_zero_at_dst_and_above_straight_line(inst):
     grid, model, mask, _, dst = inst
     h = EdgeCoster(grid, model).astar_potential(mask, dst)
-    assert h[dst[1]][dst[0]] == 0.0
+    assert h[dst[0] * grid.ny + dst[1]] == 0.0
     planar = planar_bound(grid, model, mask, dst)
     assert planar[dst[1], dst[0]] == 0.0
     dest_m = (dst[0] * grid.dxy, dst[1] * grid.dxy)
@@ -83,8 +83,8 @@ def test_zero_at_dst_and_above_straight_line(inst):
         for x in range(grid.nx):
             straight = astar_heuristic(model, (x * grid.dxy, y * grid.dxy), dest_m)
             assert rows[y][x] == straight
-            assert h[y][x] >= straight
-            assert h[y][x] == max(straight, planar[y, x])
+            assert h[x * grid.ny + y] >= straight
+            assert h[x * grid.ny + y] == max(straight, planar[y, x])
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,7 +186,7 @@ def test_field_memoised_per_mask_and_dst(model, monkeypatch):
     assert len(builds) == 2, "another mask object gets its own field"
     astar(grid, model, mask, dst, src, coster=coster)
     assert len(builds) == 3, "another destination gets its own field"
-    assert math.isfinite(coster.astar_potential(mask, src, build=False)[dst[1]][dst[0]])
+    assert math.isfinite(coster.astar_potential(mask, src, build=False)[dst[0] * grid.ny + dst[1]])
 
 
 # The field as it was built before the band was priced in column blocks:

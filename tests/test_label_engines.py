@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from corridor import CostModel
 from corridor.cost import EdgeCoster
 from corridor.dissimilarity import Profile, area_cells, cost_bar
-from corridor.graph import AugVertex
+from corridor.graph import AugVertex, ground_z_index
 from corridor.search import SearchStats, _Label, _LabelSide, _settles, dijkstra
 from corridor.terrain import synth_terrain
 
@@ -43,8 +43,8 @@ def exhausted_side(inst, cap, min_diff, max_diff, keyed, forward):
     grid, model, mask, src, dst = inst
     origin, goal = (src, dst) if forward else (dst, src)
     coster = EdgeCoster(grid, model)
-    rows = coster.astar_potential(mask, goal) if keyed else None
-    side = _LabelSide(grid, mask, coster, origin, forward, cap, min_diff, max_diff, rows)
+    potential = coster.astar_potential(mask, goal) if keyed else None
+    side = _LabelSide(grid, mask, coster, origin, forward, cap, min_diff, max_diff, potential)
     for _ in _settles(side, SearchStats(), None, None):
         pass
     return side
@@ -70,7 +70,7 @@ def test_held_labels_keep_the_side_rules(inst, cap, min_diff, max_diff, keyed, f
         assert len(bucket) <= cap
         for label in bucket:
             assert label.means() == Profile.of_path(side.chain(label)).means()
-        stop = side._stop_cells(state)
+        stop = side._stop_cells(*side.states.decode(state)[:2])
         for a, b in itertools.combinations(bucket, 2):
             assert area_cells(a.means(), b.means(), stop) >= stop
 
@@ -97,9 +97,10 @@ def test_a_cheaper_offer_lowers_the_bar_before_it_is_placed():
     # offer N=9.9, similar to both, first drops B (above 9.9 * 1.05) and
     # then replaces A, so the state keeps its cheapest label.  Placed
     # against both, N would have been rejected.
-    side = _LabelSide(synth_terrain(0, 6, 5, 4.0), None, None, (5, 2), False, 3, 2.0, 5.0)
-    state = AugVertex(2, 2, 0, 0, 0)
-    held = [_Label(10.0, state, None), _Label(10.4, state, None)]
+    grid = synth_terrain(0, 6, 5, 4.0)
+    side = _LabelSide(grid, None, EdgeCoster(grid, CostModel()), (5, 2), False, 3, 2.0, 5.0)
+    state = side.states.encode(AugVertex(2, 2, ground_z_index(grid, 2, 2), 0, 0))
+    held = [_Label(10.0, state, None, 2, 2), _Label(10.4, state, None, 2, 2)]
     for label in held:
         side._push(label)
     side._keep_dissimilar(None, state, 9.9)

@@ -379,12 +379,14 @@ class TestDispatcher:
     # A negative max_diff would reject the optimum itself, and a penalty
     # width that is not positive prices no corridor or a negative one.  A
     # penalty_max at or below the width stops ipa after its first search,
-    # and a negative timeout stops every algorithm before its first.
+    # and a negative timeout stops every algorithm before its first.  A
+    # label_cap below 1 ends every search at its first settle, unsolved.
     @pytest.mark.parametrize("value", [
         dict(max_diff=-5.0), dict(penalty_width=-5.0), dict(penalty_width=0.0),
         dict(penalty_max=10.0), dict(penalty_max=-5.0), dict(timeout=-1.0),
+        dict(label_cap=0), dict(label_cap=-5),
     ], ids=["max_diff=-5", "penalty_width=-5", "penalty_width=0", "penalty_max=penalty_width",
-            "penalty_max=-5", "timeout=-1"])
+            "penalty_max=-5", "timeout=-1", "label_cap=0", "label_cap=-5"])
     def test_config_rejects_values_that_cannot_work(self, value):
         with pytest.raises(ValueError):
             MultipathConfig(**value)

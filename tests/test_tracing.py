@@ -28,12 +28,11 @@ def test_traced_runs_count_expansions_and_meets(model):
                 cfg = MultipathConfig(algorithm=algo, k=2, use_astar=use_astar, timeout=60)
                 solve(g, model, mask, (0, 5), (15, 5), cfg)
                 grew = {name for name, n in tr.counts.items() if n > before.get(name, 0)}
-                # Every solve prices moves through EdgeCoster._compute, but
-                # only label sides (kspa, hybrid) call the successor
-                # functions: one-label sweeps move by arithmetic on int states.
+                # Every solve prices moves through EdgeCoster._compute, and
+                # none calls the successor functions: every side moves by
+                # arithmetic on int states.
                 assert "cost.price_computed" in grew, case
-                if algo in ("kspa", "hybrid"):
-                    assert "graph.succ_calls" in grew, case
+                assert "graph.succ_calls" not in grew, case
                 # kspa's sweep calls no rebound search name.
                 if algo != "kspa":
                     assert {"search.queries", "search.expansions"} <= grew, case

@@ -14,9 +14,9 @@ off, and with ``se`` and ``ipa``, A* on, and runs the benchmark's
 best-corridor ``astar`` query per map and mask, all with each checkout's
 library.  It records the deterministic counts (expansions, iterations, peak
 labels), the solved flag, the path costs, a digest of each returned vertex
-list and the CPU seconds of each.  Last it measures the one-label settle
-rate of each checkout (:func:`settle_rate`), alternating the two, and keeps
-the best of ``RATE_RUNS`` per map.
+list and the CPU seconds of each.  Last it measures the one-label and the
+label-side settle rates of each checkout (:func:`settle_rate`), alternating
+the two, and keeps the best of ``RATE_RUNS`` per figure.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ RATE_RUNS = 3
 # One-label settle rates: HR Dijkstra on relief-best's map and on a 100x50 map.
 RATE_MAPS = {"synth-5-60x30": ((5, 60, 30, 20.0), (0, 15), (59, 15)),
              "synth-3-100x50": ((3, 100, 50, 20.0), (0, 25), (99, 25))}
+# The label-side settle rate: unguided kspa with HR 1/3 on relief-k3's map.
+LABEL_MAP = ("synth-2-40x20", (2, 40, 20, 8.0), (0, 10), (39, 10))
 
 
 def digest(path) -> str:
@@ -95,11 +97,18 @@ def counts(checkout: str) -> dict:
 def settle_rate(checkout: str) -> dict:
     """Per map of ``RATE_MAPS``: settles per CPU second of one HR Dijkstra
     query on a cold price memo, and of the same query again on the memo it
-    filled (warm)."""
+    filled (warm).  On ``LABEL_MAP``: settles per CPU second of one unguided
+    ``kspa`` solve, whose single multi-label side does every settle."""
     sys.path[:0] = [os.path.join(checkout, "src")]
     import corridor
 
-    out = {}
+    name, recipe, src, dst = LABEL_MAP
+    grid = corridor.synth_terrain(*recipe)
+    mask = corridor.simple_height_mask(grid, 1.0, 3)
+    cfg = corridor.MultipathConfig(algorithm="kspa", use_astar=False)
+    t0 = time.process_time()
+    res = corridor.solve(grid, corridor.CostModel(), mask, src, dst, cfg)
+    out = {f"{name}/kspa": res.expansions / (time.process_time() - t0), f"{name}/kspa_settles": res.expansions}
     for name, (recipe, src, dst) in RATE_MAPS.items():
         grid = corridor.synth_terrain(*recipe)
         model = corridor.CostModel()
