@@ -23,7 +23,7 @@ from .multipath import (
     sensitivity,
     solve,
 )
-from .search import BidiEngine, Path, SearchStats, astar, bidi_engine, dijkstra
+from .search import BidiEngine, CellFilter, CellPenalty, Path, SearchStats, astar, bidi_engine, dijkstra
 from .terrain import (
     TerrainClassBreakdown,
     TerrainGrid,

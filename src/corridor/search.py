@@ -5,8 +5,9 @@ the deadline, the label cap and the counters.  Both run on states numbered
 by ints (:class:`~corridor.graph.StateNumbering`): moves are arithmetic,
 labels and the price memo are int-keyed dicts, a guided side adds the A*
 potential of the state's column to each key, and an
-:class:`~corridor.graph.AugVertex` is built only for a returned path or a
-caller's per-edge rule.  A :class:`_Sweep` keeps one label per state:
+:class:`~corridor.graph.AugVertex` is built only for a returned path.  A
+search's rules are per column (:class:`CellFilter`, :class:`CellPenalty`).
+A :class:`_Sweep` keeps one label per state:
 :func:`dijkstra` and :func:`astar` run one, and the :class:`BidiEngine`
 grows two towards each other (``bds``), always the one whose lowest key is
 smaller, and exposes settled meeting states as a stream of paths.  A
@@ -30,7 +31,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, straight_line_rows, x_major
 from .dissimilarity import ADD, REJECT, Profile, area_cells, cost_bar, place
@@ -38,10 +39,6 @@ from .dissimilarity import ADD, REJECT, Profile, area_cells, cost_bar, place
 # imported; only Path.validate calls one.
 from .graph import AugVertex, HeightMask, check_mask_shape, ground_z_index, rev_successors3do, successors3do
 from .terrain import TerrainGrid
-
-EdgeFilter = Callable[[AugVertex, AugVertex], bool]
-EdgePenalty = Callable[[AugVertex, AugVertex], float]
-
 
 @dataclass
 class SearchStats:
@@ -93,41 +90,42 @@ class Path:
         assert abs(total - self.total_cost) <= 1e-9 * max(1.0, abs(total))
 
 
-def _ground_cell(grid, xy) -> tuple[int, int, int]:
-    """The ground cell at ``xy``; a column off the grid raises ``ValueError``."""
+def _column(grid, xy, what: str) -> tuple[int, int]:
+    """``xy`` as ``(x, y)``; a column off the grid raises ``ValueError``."""
     x, y = xy
     if not (0 <= x < grid.nx and 0 <= y < grid.ny):
-        raise ValueError(f"endpoint {tuple(xy)} outside grid")
+        raise ValueError(f"{what} {tuple(xy)} outside grid")
+    return x, y
+
+
+def _ground_cell(grid, xy) -> tuple[int, int, int]:
+    """The ground cell at ``xy``; a column off the grid raises ``ValueError``."""
+    x, y = _column(grid, xy, "endpoint")
     return x, y, ground_z_index(grid, x, y)
 
 
 class CellFilter:
-    """An edge filter that admits a move unless it enters a blocked column:
-    a search reads it per column instead of calling it per edge."""
+    """A search rule that drops every move into a ``blocked`` column; a
+    column off the grid raises ``ValueError``."""
 
     def __init__(self, grid: TerrainGrid, blocked):
-        self.ny = grid.ny
         self.open = [True] * (grid.nx * grid.ny)
-        for x, y in blocked:
+        for xy in blocked:
+            x, y = _column(grid, xy, "blocked column")
             self.open[x * grid.ny + y] = False
-
-    def __call__(self, u: AugVertex, w: AugVertex) -> bool:
-        return self.open[w.x * self.ny + w.y]
 
 
 class CellPenalty:
-    """An edge penalty that depends only on the column a move enters,
-    ``rows[y][x]``: a search reads it per column instead of calling it per
-    edge.  A negative or NaN entry raises ``ValueError``."""
+    """A search rule that adds ``rows[y][x]`` to the price of every move into
+    column (x, y).  Rows that are not ``grid.ny`` rows of ``grid.nx``
+    values, or a negative or NaN entry, raise ``ValueError``."""
 
     def __init__(self, grid: TerrainGrid, rows: list[list[float]]):
-        self.ny = grid.ny
+        if len(rows) != grid.ny or any(len(row) != grid.nx for row in rows):
+            raise ValueError(f"penalty rows must be {grid.ny} rows of {grid.nx} values")
         self.by_cell = x_major(rows)
         if not all(p >= 0.0 for p in self.by_cell):
             raise ValueError("negative or NaN edge penalty")
-
-    def __call__(self, u: AugVertex, w: AugVertex) -> float:
-        return self.by_cell[w.x * self.ny + w.y]
 
 
 class _Side:
@@ -179,11 +177,9 @@ class _Sweep(_Side):
     as in Dijkstra, so memory grows with the states touched.
 
     :meth:`rekey` swaps in a potential that is nowhere smaller.
-    ``edge_filter`` and ``penalty`` see each move ``(u, w)`` in the sweep's
-    own direction; a :class:`CellFilter` or :class:`CellPenalty` is read per
-    column, and only another callable is given the move's
-    :class:`AugVertex` pair.  Heap entries are ``(key, state)``, and a
-    popped entry whose state has settled is skipped.
+    ``edge_filter`` and ``penalty`` are read at the column each move enters.
+    Heap entries are ``(key, state)``, and a popped entry whose state has
+    settled is skipped.
     """
 
     def __init__(
@@ -194,14 +190,12 @@ class _Sweep(_Side):
         origin: tuple[int, int],
         forward: bool = True,
         potential: Optional[list[float]] = None,
-        edge_filter: Optional[EdgeFilter] = None,
-        penalty: Optional[EdgePenalty] = None,
+        edge_filter: Optional[CellFilter] = None,
+        penalty: Optional[CellPenalty] = None,
     ):
         super().__init__(grid, mask, coster, origin, forward, potential)
-        self.cells = edge_filter.open if isinstance(edge_filter, CellFilter) else None
-        self.edge_filter = None if self.cells is not None else edge_filter
-        self.surcharge = penalty.by_cell if isinstance(penalty, CellPenalty) else None
-        self.penalty = None if self.surcharge is not None else penalty
+        self.cells = edge_filter.open if edge_filter is not None else None
+        self.surcharge = penalty.by_cell if penalty is not None else None
         self.dist: dict[int, float] = dict.fromkeys(self.seeds, 0.0)
         self.parent: dict[int, int] = {}
         self.settled: set[int] = set()
@@ -222,11 +216,9 @@ class _Sweep(_Side):
     def relax(self, s: int) -> None:
         dist, parent, settled, heap = self.dist, self.parent, self.settled, self.heap
         potential, cells, surcharge = self.potential, self.cells, self.surcharge
-        edge_filter, penalty = self.edge_filter, self.penalty
         prices, span = self.coster.prices, self.coster.span
         states = self.states
         nz = states.nz
-        u = states.decode(s) if edge_filter is not None or penalty is not None else None
         du = dist[s]
         p = s // 24
         pk = p * span
@@ -239,19 +231,12 @@ class _Sweep(_Side):
             c2 = p2 // nz
             if cells is not None and not cells[c2]:
                 continue
-            if edge_filter is not None and not edge_filter(u, states.decode(w)):
-                continue
             key = pk + p2 if p < p2 else p2 * span + p
             c = prices.get(key)
             if c is None:
                 c = prices[key] = self.compute(*states.xyz(min(p, p2)), *states.xyz(max(p, p2)))
             if surcharge is not None:
                 c = c + surcharge[c2]
-            elif penalty is not None:
-                extra = penalty(u, states.decode(w))
-                if not extra >= 0.0:
-                    raise ValueError("negative or NaN edge penalty")
-                c = c + extra
             nd = du + c
             if nd < dist.get(w, inf):
                 dist[w] = nd
@@ -321,14 +306,17 @@ def _single_source(
     mask: Optional[HeightMask],
     src: tuple[int, int],
     dst: tuple[int, int],
-    edge_filter: Optional[EdgeFilter],
-    penalty: Optional[EdgePenalty],
+    edge_filter: Optional[CellFilter],
+    penalty: Optional[CellPenalty],
     stats: Optional[SearchStats],
     guided: bool,
     coster: Optional[EdgeCoster],
     deadline: Optional[float],
     label_cap: Optional[int],
 ) -> Optional[Path]:
+    for name, rule, kind in (("edge_filter", edge_filter, CellFilter), ("penalty", penalty, CellPenalty)):
+        if rule is not None and not isinstance(rule, kind):
+            raise TypeError(f"{name} must be a {kind.__name__}, not {type(rule).__name__}")
     coster = coster if coster is not None else EdgeCoster(grid, model)
     potential = coster.astar_potential(mask, dst, build=False) if guided else None
     switch_at = -1
@@ -360,8 +348,8 @@ def dijkstra(
     mask: Optional[HeightMask],
     src: tuple[int, int],
     dst: tuple[int, int],
-    edge_filter: Optional[EdgeFilter] = None,
-    penalty: Optional[EdgePenalty] = None,
+    edge_filter: Optional[CellFilter] = None,
+    penalty: Optional[CellPenalty] = None,
     stats: Optional[SearchStats] = None,
     coster: Optional[EdgeCoster] = None,
     *,
@@ -370,11 +358,11 @@ def dijkstra(
 ) -> Optional[Path]:
     """Minimum-cost path between ground points, or None if disconnected.
 
-    A ``penalty`` is added to each edge's price; a negative one raises
-    ``ValueError``.  The search gives up, returning None and setting
-    ``stats.incomplete``, when a settle finds ``deadline`` (a
-    :func:`time.monotonic` time) passed or more than ``label_cap`` states
-    labelled.
+    ``edge_filter`` is a :class:`CellFilter` and ``penalty`` a
+    :class:`CellPenalty`; another type raises ``TypeError``.  The search
+    gives up, returning None and setting ``stats.incomplete``, when a
+    settle finds ``deadline`` (a :func:`time.monotonic` time) passed or
+    more than ``label_cap`` states labelled.
     """
     return _single_source(
         grid, model, mask, src, dst, edge_filter, penalty, stats, False, coster, deadline, label_cap
@@ -387,8 +375,8 @@ def astar(
     mask: Optional[HeightMask],
     src: tuple[int, int],
     dst: tuple[int, int],
-    edge_filter: Optional[EdgeFilter] = None,
-    penalty: Optional[EdgePenalty] = None,
+    edge_filter: Optional[CellFilter] = None,
+    penalty: Optional[CellPenalty] = None,
     stats: Optional[SearchStats] = None,
     coster: Optional[EdgeCoster] = None,
     *,
@@ -403,9 +391,9 @@ def astar(
     costs, it builds the planar bound (:func:`corridor.cost.planar_bound`,
     which also prices earthwork) and continues on the larger of the two.
     The field is memoised on ``coster`` per (mask, dst), so later queries
-    that share the coster use it from their first settle.  Filters only remove edges, so both bounds
-    hold under any ``edge_filter``.  Neither holds under a negative
-    ``penalty``, which raises ``ValueError`` as in :func:`dijkstra`.
+    that share the coster use it from their first settle.  Both bounds
+    hold under every rule a search accepts: an ``edge_filter`` only
+    removes edges, and a :class:`CellPenalty` is never negative.
     """
     return _single_source(
         grid, model, mask, src, dst, edge_filter, penalty, stats, True, coster, deadline, label_cap

@@ -207,5 +207,5 @@ def test_mean_is_held_at_the_hull_ends():
     path = to_path([(3, 1), (4, 2), (4, 4), (5, 7)])
     assert Profile.of_path(path.vertices).means() == (3, [1.0, 3.0, 7.0])
     penalty = _corridor_penalty(synth_terrain(0, 10, 9, 0.0), [path], 50.0)
-    at = [penalty(None, AugVertex(x, y, 0, 0, 0)) for x, y in ((0, 1), (3, 1), (4, 3), (5, 7), (9, 7))]
-    assert at == [at[0]] * 5 and at[0] > penalty(None, AugVertex(0, 2, 0, 0, 0))
+    at = [penalty.by_cell[x * 9 + y] for x, y in ((0, 1), (3, 1), (4, 3), (5, 7), (9, 7))]
+    assert at == [at[0]] * 5 and at[0] > penalty.by_cell[0 * 9 + 2]

@@ -7,8 +7,9 @@ Run from the repository root, with a checkout of each commit:
 For each workload of ``perfbench/run.py`` it makes ``PAIRS`` pairs of
 plain runs (``--trace 0``, with ``SEED`` and ``SECONDS``), one per
 checkout, alternating which side runs first, and records each side's
-median and quartiles per end-to-end metric, with every run's ``correct``
-flag and failure count.  Then it solves the
+median and quartiles per end-to-end metric, with every run's value in run
+order (so the i-th values of the two sides are one pair), ``correct`` flag
+and failure count.  Then it solves the
 cases of :func:`counts` with ``bds``, ``hybrid`` and ``kspa``, A* on and
 off, and with ``se`` and ``ipa``, A* on, and runs the benchmark's
 best-corridor ``astar`` query per map and mask, all with each checkout's
@@ -131,10 +132,11 @@ def perfbench(checkout: str, workload: str) -> dict:
 
 
 def summary(runs: list[dict]) -> dict:
-    """Median and quartiles per metric, with each run's correctness."""
+    """Median and quartiles per metric, with each run's value in run order
+    and its correctness."""
     out = {"runs": len(runs), "correct": [r["correct"] for r in runs], "failed": [r["failed"] for r in runs]}
     for metric in runs[0]["metrics"]:
-        values = sorted(r["metrics"][metric]["value"] for r in runs)
+        values = [r["metrics"][metric]["value"] for r in runs]
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out[metric] = {"median": statistics.median(values), "q1": q1, "q3": q3,
                        "unit": runs[0]["metrics"][metric]["unit"], "values": values}
