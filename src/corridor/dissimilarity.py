@@ -49,10 +49,10 @@ class Profile:
     and visit count ``n`` of the path's vertices there, and ``left`` and
     ``right``: the profiles that ended at the path's last visits to columns
     ``x - 1`` and ``x + 1`` (None past the path's x-hull), which hold those
-    columns' final sums.  Consecutive vertices are at most one column
-    apart, as on every grid path, so extending a profile is O(1) and copies
-    nothing.  The search engine's labels extend this class, so a label's
-    profile costs no extra object.
+    columns' final sums.  Consecutive vertices are at most one column apart,
+    so extending a profile is O(1) and copies nothing, and profiles grown
+    from one ancestor share its links.  The search engine's labels extend
+    this class, so a label's profile costs no extra object.
     """
 
     __slots__ = ("x", "ysum", "n", "left", "right")
@@ -105,22 +105,30 @@ class Profile:
         return lo, means
 
 
-def area_cells(a: tuple[int, list[float]], b: tuple[int, list[float]], stop: float = math.inf) -> float:
-    """Area in grid cells between two profiles given as their ``means()``:
-    the sum of |mean gap| over the union of their hulls, each profile held
-    at its end values outside its own hull.  Once the running sum reaches
-    ``stop`` it is returned as it stands, so ``area_cells(a, b, s) < s``
-    decides like the full sum."""
-    (a_lo, ma), (b_lo, mb) = a, b
-    na1, nb1 = len(ma) - 1, len(mb) - 1
+def profile_area(a: Profile, b: Profile, stop: float = math.inf) -> float:
+    """Area in grid cells between two profiles with one tip column: the sum
+    of |mean gap| over the union of their hulls, each held at its end values
+    outside its own.  Both ``left`` chains are walked from the tip, then both
+    ``right`` chains, each until they reach one object, past which they add
+    exactly 0.0.  Left terms are added in x order, so every partial sum is a
+    plain sweep's; one that reaches ``stop`` is returned as it stands."""
+    terms, pa, pb, ya, yb = [], a, b, 0.0, 0.0
+    while pa is not pb:
+        if pa is not None:
+            ya, pa = pa.ysum / pa.n, pa.left
+        if pb is not None:
+            yb, pb = pb.ysum / pb.n, pb.left
+        terms.append(ya - yb if ya >= yb else yb - ya)
     area = 0.0
-    for x in range(min(a_lo, b_lo), max(a_lo + na1, b_lo + nb1) + 1):
-        ia = x - a_lo
-        ib = x - b_lo
-        d = ma[0 if ia < 0 else (na1 if ia > na1 else ia)] - mb[0 if ib < 0 else (nb1 if ib > nb1 else ib)]
-        area += d if d >= 0.0 else -d
-        if area >= stop:
-            break
+    for d in reversed(terms):
+        area += d
+    pa, pb, ya, yb = a.right, b.right, a.ysum / a.n, b.ysum / b.n
+    while area < stop and pa is not pb:
+        if pa is not None:
+            ya, pa = pa.ysum / pa.n, pa.right
+        if pb is not None:
+            yb, pb = pb.ysum / pb.n, pb.right
+        area += ya - yb if ya >= yb else yb - ya
     return area
 
 
@@ -133,10 +141,10 @@ def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
     qs, qe = q.vertices[0], q.vertices[-1]
     if (ps.x, ps.y) != (qs.x, qs.y) or (pe.x, pe.y) != (qe.x, qe.y):
         raise ValueError("endpoint mismatch: paths must share source and destination")
-    a, b = Profile.of_path(p.vertices).means(), Profile.of_path(q.vertices).means()
-    columns = max(a[0] + len(a[1]), b[0] + len(b[1])) - min(a[0], b[0])
+    # Each hull is a run of columns, and both hold the endpoints' columns.
+    columns = len({v.x for v in p.vertices}.union(v.x for v in q.vertices))
     ops = len(p.vertices) + len(q.vertices) + columns
-    area_m2 = area_cells(a, b) * cfg.dxy * cfg.dxy
+    area_m2 = profile_area(Profile.of_path(p.vertices), Profile.of_path(q.vertices)) * cfg.dxy * cfg.dxy
     percent = 100.0 * area_m2 / (cfg.map_width * cfg.endpoint_distance)
     return percent, ops
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, straight_line_rows, x_major
-from .dissimilarity import ADD, REJECT, Profile, area_cells, cost_bar, place
+from .dissimilarity import ADD, REJECT, Profile, cost_bar, place, profile_area
 # perfbench/tracing.py rebinds the successor functions here, so they stay
 # imported; only Path.validate calls one.
 from .graph import AugVertex, HeightMask, check_mask_shape, ground_z_index, rev_successors3do, successors3do
@@ -109,6 +109,7 @@ class CellFilter:
     column off the grid raises ``ValueError``."""
 
     def __init__(self, grid: TerrainGrid, blocked):
+        self.shape = (grid.nx, grid.ny)
         self.open = [True] * (grid.nx * grid.ny)
         for xy in blocked:
             x, y = _column(grid, xy, "blocked column")
@@ -121,6 +122,7 @@ class CellPenalty:
     values, or a negative or NaN entry, raise ``ValueError``."""
 
     def __init__(self, grid: TerrainGrid, rows: list[list[float]]):
+        self.shape = (grid.nx, grid.ny)
         if len(rows) != grid.ny or any(len(row) != grid.nx for row in rows):
             raise ValueError(f"penalty rows must be {grid.ny} rows of {grid.nx} values")
         self.by_cell = x_major(rows)
@@ -177,7 +179,8 @@ class _Sweep(_Side):
     as in Dijkstra, so memory grows with the states touched.
 
     :meth:`rekey` swaps in a potential that is nowhere smaller.
-    ``edge_filter`` and ``penalty`` are read at the column each move enters.
+    ``edge_filter`` and ``penalty`` are read at the column each move enters;
+    a rule built for a grid of another shape raises ``ValueError``.
     Heap entries are ``(key, state)``, and a popped entry whose state has
     settled is skipped.
     """
@@ -194,6 +197,9 @@ class _Sweep(_Side):
         penalty: Optional[CellPenalty] = None,
     ):
         super().__init__(grid, mask, coster, origin, forward, potential)
+        for rule in (edge_filter, penalty):
+            if rule is not None and rule.shape != (grid.nx, grid.ny):
+                raise ValueError(f"{type(rule).__name__} built for a {rule.shape} grid, searched on {(grid.nx, grid.ny)}")
         self.cells = edge_filter.open if edge_filter is not None else None
         self.surcharge = penalty.by_cell if penalty is not None else None
         self.dist: dict[int, float] = dict.fromkeys(self.seeds, 0.0)
@@ -422,7 +428,10 @@ class _LabelSide(_Side):
     A new label must price within the cost bar of the state's cheapest
     label.  An offer below the cheapest cost first drops the labels above
     its lowered bar; then :func:`~corridor.dissimilarity.place` decides
-    whether it joins, replaces a label or is rejected.  A state
+    whether it joins, replaces a label or is rejected, taking two labels as
+    too similar when :func:`~corridor.dissimilarity.profile_area` is below
+    ``stop_cells`` at their column (``min_diff`` percent of the map width
+    times its distance from the origin, in grid cells).  A state
     whose ``cap`` labels have settled is closed and skipped before pricing:
     with a consistent potential a later offer costs at least as much as
     every settled label there, so it would be rejected anyway.  Heap
@@ -443,12 +452,12 @@ class _LabelSide(_Side):
         potential: Optional[list[float]] = None,
     ):
         super().__init__(grid, mask, coster, origin, forward, potential)
-        self.grid = grid
         self.cap = cap
-        self.min_diff = min_diff
         self.max_diff = max_diff
-        self.origin = origin
         self.per_column = 24 * self.states.nz
+        dxy, (ox, oy) = grid.dxy, origin
+        self.stop_cells = [min_diff * grid.width_m * max(math.hypot(x - ox, y - oy) * dxy, dxy) / (100.0 * dxy * dxy)
+                           for x in range(grid.nx) for y in range(grid.ny)]
         self.labels: dict[int, list[_Label]] = {}
         self.settled: dict[int, list[_Label]] = {}
         self.closed: set[int] = set()
@@ -502,26 +511,22 @@ class _LabelSide(_Side):
                 c = prices[key] = self.compute(*xyz(min(p, p2)), *xyz(max(p, p2)))
             keep(label, w, cost + c)
 
-    def _stop_cells(self, x: int, y: int) -> float:
-        # min_diff percent of the map width times the distance of the column
-        # (x, y) from the origin (at least one cell), as an area in grid cells.
-        dxy = self.grid.dxy
-        norm = max(math.hypot(x - self.origin[0], y - self.origin[1]) * dxy, dxy)
-        return self.min_diff * self.grid.width_m * norm / (100.0 * dxy * dxy)
-
     def _keep_dissimilar(self, parent: _Label, state: int, cost: float) -> None:
         bucket = self.labels.get(state)
-        cheapest = min(l.cost for l in bucket) if bucket else math.inf
+        cheapest = math.inf
+        for l in bucket or ():
+            if l.cost < cheapest:
+                cheapest = l.cost
         if cost > cost_bar(cheapest, self.max_diff):
             return
         if bucket and cost < cheapest:
             for other in [l for l in bucket if l.cost > cost_bar(cost, self.max_diff)]:
                 self._kill(other)
-        x, y = divmod(state // self.per_column, self.grid.ny)
-        label = _Label(cost, state, parent, x, y)
+        column = state // self.per_column
+        label = _Label(cost, state, parent, *divmod(column, self.states.ny))
         if bucket:
-            stop, mine = self._stop_cells(x, y), label.means()
-            similar = [i for i, other in enumerate(bucket) if area_cells(mine, other.means(), stop) < stop]
+            stop = self.stop_cells[column]
+            similar = [i for i, other in enumerate(bucket) if profile_area(label, other, stop) < stop]
             decision = place([l.cost for l in bucket], similar, cost, self.cap)
             if decision is REJECT:
                 return

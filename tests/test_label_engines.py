@@ -6,13 +6,15 @@ chains and which obey the side's dissimilarity and cost rules.
 """
 
 import itertools
+import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corridor import CostModel
+from corridor import CostModel, MultipathConfig, simple_height_mask, solve
 from corridor.cost import EdgeCoster
-from corridor.dissimilarity import Profile, area_cells, cost_bar
+from corridor.dissimilarity import Profile, cost_bar, profile_area
 from corridor.graph import AugVertex, ground_z_index
 from corridor.search import SearchStats, _Label, _LabelSide, _settles, dijkstra
 from corridor.terrain import synth_terrain
@@ -70,9 +72,27 @@ def test_held_labels_keep_the_side_rules(inst, cap, min_diff, max_diff, keyed, f
         assert len(bucket) <= cap
         for label in bucket:
             assert label.means() == Profile.of_path(side.chain(label)).means()
-        stop = side._stop_cells(*side.states.decode(state)[:2])
+        stop = side.stop_cells[state // side.per_column]
         for a, b in itertools.combinations(bucket, 2):
-            assert area_cells(a.means(), b.means(), stop) >= stop
+            assert profile_area(a, b, stop) >= stop
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(), st.sampled_from((0.0, 2.0, 12.0)), st.booleans())
+def test_stop_table_is_the_formula_at_every_column(inst, min_diff, forward):
+    # min_diff percent of the map width times the column's distance from
+    # the origin (at least one cell), in grid cells.
+    grid, model, mask, src, dst = inst
+    origin = src if forward else dst
+    side = _LabelSide(grid, mask, EdgeCoster(grid, model), origin, forward, 2, min_diff, 10.0)
+    dxy = grid.dxy
+    assert side.stop_cells == [
+        min_diff * grid.width_m * max(math.hypot(x - origin[0], y - origin[1]) * dxy, dxy) / (100.0 * dxy * dxy)
+        for x in range(grid.nx) for y in range(grid.ny)
+    ]
+    for state in range(0, grid.nx * grid.ny * side.per_column, 7):
+        x, y = side.states.decode(state)[:2]
+        assert side.stop_cells[state // side.per_column] == side.stop_cells[x * grid.ny + y]
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,3 +126,21 @@ def test_a_cheaper_offer_lowers_the_bar_before_it_is_placed():
     side._keep_dissimilar(None, state, 9.9)
     assert [l.cost for l in side.labels[state]] == [9.9]
     assert not any(l.alive for l in held)
+
+
+# The label side's deterministic counts on a small map.  A change to the
+# per-offer rule that alters any label set moves them.
+PINNED = {
+    ("kspa", False): (3163, 7787, ["374.0200579569538", "409.34183645790284"]),
+    ("hybrid", True): (1222, 5558, ["374.0200579569538", "397.00702266650984", "409.04240076952794"]),
+}
+
+
+@pytest.mark.parametrize("algorithm, use_astar", list(PINNED))
+def test_label_side_counts_are_pinned(algorithm, use_astar):
+    grid = synth_terrain(2, 16, 8, 8.0)
+    cfg = MultipathConfig(algorithm=algorithm, use_astar=use_astar)
+    res = solve(grid, CostModel(), simple_height_mask(grid, 1.0, 3), (0, 4), (15, 4), cfg)
+    expansions, peak_labels, costs = PINNED[algorithm, use_astar]
+    assert (res.expansions, res.peak_labels) == (expansions, peak_labels)
+    assert [repr(p.total_cost) for p in res.paths] == costs

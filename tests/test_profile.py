@@ -1,8 +1,9 @@
 """Properties of the shared dissimilarity pieces: the lateral profile, the
 area integral and the placement rule, on random station paths (one vertex
-per column, any y) and random 8-neighbour vertex walks (which may double
-back over a column)."""
+per column, any y), random 8-neighbour vertex walks (which may double
+back over a column) and pairs of walks grown from one shared prefix."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -13,13 +14,13 @@ from corridor.dissimilarity import (
     AreaConfig,
     Profile,
     accept,
-    area_cells,
     area_diff,
     assert_pairwise_dissimilar,
     cost_bar,
     Decision,
     Outcome,
     place,
+    profile_area,
 )
 from corridor.graph import AugVertex
 from corridor.multipath import _corridor_penalty
@@ -145,13 +146,70 @@ def test_area_diff_equals_dict_reference(pair):
     assert area_diff(p, q, CFG) == area_diff(q, p, CFG)
 
 
+def reference_cells(a, b, stop=math.inf):
+    """The area integral as a plain sweep over the union of the hulls, in x
+    order from its first column, on the two profiles' ``means()``."""
+    (a_lo, ma), (b_lo, mb) = a.means(), b.means()
+    na1, nb1 = len(ma) - 1, len(mb) - 1
+    area = 0.0
+    for x in range(min(a_lo, b_lo), max(a_lo + na1, b_lo + nb1) + 1):
+        ia = x - a_lo
+        ib = x - b_lo
+        d = ma[0 if ia < 0 else (na1 if ia > na1 else ia)] - mb[0 if ib < 0 else (nb1 if ib > nb1 else ib)]
+        area += d if d >= 0.0 else -d
+        if area >= stop:
+            break
+    return area
+
+
+@st.composite
+def grow(draw, base, tip=None):
+    """``base`` extended by a random walk that may leave its hull on either
+    side, then, given a ``tip`` column, walked straight to it.  The y values
+    are not all dyadic, so a sum taken in another order can round apart."""
+    ys = st.one_of(st.integers(-20, 20).map(lambda y: y / 4), st.floats(-50.0, 50.0))
+    p, x = base, base.x
+    for dx in draw(st.lists(st.sampled_from((-1, 0, 1)), max_size=25)):
+        x += dx
+        p = Profile(p, x, draw(ys))
+    while tip is not None and x != tip:
+        x += 1 if tip > x else -1
+        p = Profile(p, x, draw(ys))
+    return p
+
+
+@st.composite
+def shared_prefix_pairs(draw):
+    """Two profiles with one tip column that share a grown prefix, so their
+    chains join where the branches stop touching; sometimes one object."""
+    prefix = draw(grow(Profile(None, 0, 0.0)))
+    a = draw(grow(prefix))
+    if draw(st.integers(0, 9)) == 0:
+        return a, a
+    return a, draw(grow(prefix, tip=a.x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_prefix_pairs(), st.floats(0.0, 2.0), st.sampled_from(("below", "at", "above")))
+def test_walk_equals_the_plain_sweep(pair, share, where):
+    a, b = pair
+    full = reference_cells(a, b)
+    assert profile_area(a, b) == full
+    assert profile_area(b, a) == full
+    stop = {"below": share * full / 2, "at": full, "above": full * (1.0 + share) + share}[where]
+    for x, y in ((a, b), (b, a)):
+        stopped = profile_area(x, y, stop)
+        assert (stopped < stop) == (reference_cells(x, y, stop) < stop) == (full < stop)
+        assert stopped <= full
+
+
 @settings(max_examples=200, deadline=None)
 @given(path_pairs(), st.floats(0.0, 2.0), st.booleans())
 def test_early_stop_decides_like_the_full_integral(pair, share, at_full):
-    a, b = (Profile.of_path(p.vertices).means() for p in pair)
-    full = area_cells(a, b)
+    a, b = (Profile.of_path(p.vertices) for p in pair)
+    full = profile_area(a, b)
     stop = full if at_full else share * full
-    stopped = area_cells(a, b, stop)
+    stopped = profile_area(a, b, stop)
     assert (stopped < stop) == (full < stop)
     assert stopped <= full
 

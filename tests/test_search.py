@@ -193,6 +193,26 @@ def test_cell_filter_rejects_a_column_off_the_grid(column):
         CellFilter(flat_grid(nx=8, ny=5), {(3, 2), column})
 
 
+@pytest.mark.parametrize("search", [dijkstra, astar])
+def test_wall_table_of_a_transposed_grid_rejected(model, search):
+    # The same nx * ny cells: a wall at x = 2 built on 8x5 used to block
+    # (1, 2)-(1, 6) on 5x8, and the path detoured through x = 0.
+    wall = CellFilter(flat_grid(nx=8, ny=5), {(2, y) for y in range(5)})
+    with pytest.raises(ValueError, match=r"CellFilter built for a \(8, 5\) grid, searched on \(5, 8\)"):
+        search(flat_grid(nx=5, ny=8), model, None, (1, 0), (1, 7), edge_filter=wall)
+
+
+@pytest.mark.parametrize("search", [dijkstra, astar])
+@pytest.mark.parametrize("rule", ["edge_filter", "penalty"])
+def test_table_of_a_smaller_grid_rejected(model, search, rule):
+    # An open table built on 8x5 used to raise IndexError inside the sweep
+    # once a 10x5 search reached x = 8.
+    small = flat_grid(nx=8, ny=5)
+    table = CellFilter(small, ()) if rule == "edge_filter" else CellPenalty(small, [[0.0] * 8 for _ in range(5)])
+    with pytest.raises(ValueError, match=rf"{type(table).__name__} built for a \(8, 5\) grid, searched on \(10, 5\)"):
+        search(flat_grid(nx=10, ny=5), model, None, (0, 2), (9, 2), **{rule: table})
+
+
 class TestBidiEngine:
     def test_optimal_cutoff_reaches_optimum(self, model):
         for seed in range(10):
