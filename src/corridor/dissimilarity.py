@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from .search import Path
@@ -83,9 +83,14 @@ class Profile:
     @staticmethod
     def of_path(vertices: Sequence) -> Profile:
         """The profile of a whole vertex sequence, extended vertex by vertex."""
+        return Profile.of_columns((v.x, v.y) for v in vertices)
+
+    @staticmethod
+    def of_columns(columns: Iterable[tuple[int, int]]) -> Profile:
+        """The profile of a path through the ``(x, y)`` columns in order."""
         prof = None
-        for v in vertices:
-            prof = Profile(prof, v.x, v.y)
+        for x, y in columns:
+            prof = Profile(prof, x, y)
         return prof
 
     def means(self) -> tuple[int, list[float]]:
@@ -132,26 +137,29 @@ def profile_area(a: Profile, b: Profile, stop: float = math.inf) -> float:
     return area
 
 
+def _profiles(p: Path, q: Path) -> tuple[Profile, Profile]:
+    """The two paths' profiles; paths that do not share both endpoints'
+    columns raise ``ValueError``."""
+    (ps, pe), (qs, qe) = p.ends(), q.ends()
+    if (ps.x, ps.y) != (qs.x, qs.y) or (pe.x, pe.y) != (qe.x, qe.y):
+        raise ValueError("endpoint mismatch: paths must share source and destination")
+    return p.profile(), q.profile()
+
+
 def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
     """Area difference percent plus the number of elementary steps performed
     (used to verify the linear-time behavior of the metric)."""
-    if not p.vertices or not q.vertices:
-        raise ValueError("paths must be non-empty")
-    ps, pe = p.vertices[0], p.vertices[-1]
-    qs, qe = q.vertices[0], q.vertices[-1]
-    if (ps.x, ps.y) != (qs.x, qs.y) or (pe.x, pe.y) != (qe.x, qe.y):
-        raise ValueError("endpoint mismatch: paths must share source and destination")
+    percent = area_diff(p, q, cfg)
     # Each hull is a run of columns, and both hold the endpoints' columns.
     columns = len({v.x for v in p.vertices}.union(v.x for v in q.vertices))
-    ops = len(p.vertices) + len(q.vertices) + columns
-    area_m2 = profile_area(Profile.of_path(p.vertices), Profile.of_path(q.vertices)) * cfg.dxy * cfg.dxy
-    percent = 100.0 * area_m2 / (cfg.map_width * cfg.endpoint_distance)
-    return percent, ops
+    return percent, len(p.vertices) + len(q.vertices) + columns
 
 
 def area_diff(p: Path, q: Path, cfg: AreaConfig) -> float:
-    """Symmetric percentage area difference between two paths (O(L))."""
-    return area_diff_with_ops(p, q, cfg)[0]
+    """Symmetric percentage area difference between two paths (O(L)), on
+    the profile each path builds once."""
+    cells = profile_area(*_profiles(p, q))
+    return 100.0 * (cells * cfg.dxy * cfg.dxy) / (cfg.map_width * cfg.endpoint_distance)
 
 
 class Outcome(Enum):
@@ -172,24 +180,34 @@ ADD = Decision(Outcome.ADD)
 REJECT = Decision(Outcome.REJECT)
 
 
-def place(costs: Sequence[float], similar: Sequence[int], cost: float, room: int) -> Decision:
-    """Where a candidate of ``cost`` goes among members of ``costs``, of
-    which those at the indices ``similar`` are too similar to it.
+def place(costs: Sequence[float], too_similar: Callable[[int], bool], cost: float, room: int) -> Decision:
+    """Where a candidate of ``cost`` goes among members of ``costs``;
+    ``too_similar(i)`` says whether it is too similar to member i.
 
     Dissimilar to every member: ``ADD`` while fewer than ``room`` members
     are kept, otherwise it replaces the most expensive member (the last one
     on a tie) if the candidate is cheaper.  Similar to exactly one member:
     it replaces that member if the candidate is cheaper.  Anything else is
     ``REJECT``: no single replacement could restore pairwise dissimilarity.
+
+    ``too_similar`` is asked only while its answer can change the decision:
+    a full set's candidate that costs at least its dearest member is
+    rejected untested, and the tests stop at the first similar member that
+    costs no more than the candidate, or at a second similar member.
     """
-    if not similar:
-        if len(costs) < room:
-            return ADD
-        worst = max(range(len(costs)), key=lambda i: (costs[i], i))
-        return Decision(Outcome.REPLACE, worst) if cost < costs[worst] else REJECT
-    if len(similar) == 1 and cost < costs[similar[0]]:
-        return Decision(Outcome.REPLACE, similar[0])
-    return REJECT
+    if len(costs) >= room and cost >= max(costs):
+        return REJECT
+    similar = None
+    for i, c in enumerate(costs):
+        if too_similar(i):
+            if c <= cost or similar is not None:
+                return REJECT
+            similar = i
+    if similar is not None:
+        return Decision(Outcome.REPLACE, similar)
+    if len(costs) < room:
+        return ADD
+    return Decision(Outcome.REPLACE, max(range(len(costs)), key=lambda i: (costs[i], i)))
 
 
 def accept(
@@ -211,8 +229,8 @@ def accept(
     """
     if candidate.total_cost > cost_bar(opt_cost, max_diff):
         return REJECT
-    similar = [i for i, other in enumerate(accepted) if area_diff(candidate, other, cfg) < cfg.min_diff]
-    decision = place([p.total_cost for p in accepted], similar, candidate.total_cost, k)
+    decision = place([p.total_cost for p in accepted],
+                     lambda i: area_diff(candidate, accepted[i], cfg) < cfg.min_diff, candidate.total_cost, k)
     if decision is ADD:
         accepted.append(candidate)
     elif decision is not REJECT:

@@ -400,9 +400,13 @@ def run_kspa(grid, model, mask, src, dst, cfg: MultipathConfig) -> MultipathResu
 def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: int) -> MultipathResult:
     """Consume the meet paths of a bidirectional engine with ``ka`` labels
     per state and side, keeping up to k paths by the add/replace/reject
-    rules; a rejected candidate is never reconsidered.  Expansion stops once
-    no future meet can price within the cost bar, or at the timeout or the
-    label cap."""
+    rules; a rejected candidate is never reconsidered, and meets are told
+    apart by their chains of int states.  Expansion stops once no future
+    meet can be kept, or at the timeout or the label cap: the engine's
+    cutoff is the cost bar over the cheapest meet, and once k paths are
+    held, no more than the dearest of them, since ``place`` replaces a held
+    path only with a cheaper one.  The cutoff's slack still lets meets of
+    equal cost through."""
     run = _Solve(name, grid, model, mask, src, dst, cfg)
     engine = bidi_engine(
         grid, model, mask, src, dst, use_ikeda=cfg.use_astar, stats=run.stats, coster=run.coster,
@@ -411,17 +415,25 @@ def _select_meets(name, grid, model, mask, src, dst, cfg: MultipathConfig, ka: i
     accepted: list[Path] = []
     seen: set[tuple] = set()
     mu: Optional[float] = None
+
+    def tighten() -> None:
+        cutoff = cost_bar(mu, cfg.max_diff)
+        if len(accepted) >= cfg.k:
+            cutoff = min(cutoff, max(p.total_cost for p in accepted))
+        engine.set_cutoff(cutoff)
+
     for path in engine.events():
         run.iterations += 1
         if mu is None or path.total_cost < mu:
             mu = path.total_cost
-            engine.set_cutoff(cost_bar(mu, cfg.max_diff))
+            tighten()
         key = path.key()
         if key in seen:
             continue
         seen.add(key)
         if accept(path, accepted, run.acfg, cfg.k, cfg.max_diff, mu).outcome is not Outcome.REJECT:
             assert_pairwise_dissimilar(accepted, run.acfg)
+            tighten()
     return run.result(accepted, mu)
 
 

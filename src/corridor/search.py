@@ -5,7 +5,8 @@ the deadline, the label cap and the counters.  Both run on states numbered
 by ints (:class:`~corridor.graph.StateNumbering`): moves are arithmetic,
 labels and the price memo are int-keyed dicts, a guided side adds the A*
 potential of the state's column to each key, and an
-:class:`~corridor.graph.AugVertex` is built only for a returned path.  A
+:class:`~corridor.graph.AugVertex` is built only for a returned path or
+a read meet.  A
 search's rules are per column (:class:`CellFilter`, :class:`CellPenalty`).
 A :class:`_Sweep` keeps one label per state:
 :func:`dijkstra` and :func:`astar` run one, and the :class:`BidiEngine`
@@ -30,14 +31,16 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .cost import CostModel, EdgeCoster, straight_line_rows, x_major
 from .dissimilarity import ADD, REJECT, Profile, cost_bar, place, profile_area
 # perfbench/tracing.py rebinds the successor functions here, so they stay
 # imported; only Path.validate calls one.
-from .graph import AugVertex, HeightMask, check_mask_shape, ground_z_index, rev_successors3do, successors3do
+from .graph import (
+    AugVertex, HeightMask, StateNumbering, check_mask_shape, ground_z_index, rev_successors3do, successors3do,
+)
 from .terrain import TerrainGrid
 
 @dataclass
@@ -59,14 +62,26 @@ class Path:
     ``edge_costs`` may be None on transient candidate paths (the engines
     defer pricing until a path is actually kept); call :meth:`price` to
     fill them in.  Every path handed out of the solvers is fully priced.
+    The lateral :meth:`profile` is built on first use and kept, so the
+    vertices must not change after it.
     """
 
     vertices: list[AugVertex]
     total_cost: float
     edge_costs: Optional[list[float]] = None
+    _profile: Optional[Profile] = field(default=None, init=False, repr=False, compare=False)
 
-    def key(self) -> tuple:
-        return tuple(self.vertices)
+    def ends(self) -> tuple[AugVertex, AugVertex]:
+        """The first and the last vertex; an empty path raises ``ValueError``."""
+        if not self.vertices:
+            raise ValueError("paths must be non-empty")
+        return self.vertices[0], self.vertices[-1]
+
+    def profile(self) -> Profile:
+        """The lateral profile of the vertices, built on the first call."""
+        if self._profile is None:
+            self._profile = Profile.of_path(self.vertices)
+        return self._profile
 
     def price(self, coster: EdgeCoster) -> "Path":
         """Fill per-edge costs and tighten total_cost to their exact sum."""
@@ -88,6 +103,37 @@ class Path:
             assert abs(c - self.edge_costs[i]) <= 1e-9 * max(1.0, abs(c))
             total += self.edge_costs[i]
         assert abs(total - self.total_cost) <= 1e-9 * max(1.0, abs(total))
+
+
+class Meet(Path):
+    """A meet of the :class:`BidiEngine`: its chain of int ``states`` from
+    the source to the destination, numbered by ``numbering``, unpriced at
+    the sum of its two labels' costs.  :meth:`key` is the chain, the
+    profile is built from the states' columns, and ``vertices`` are decoded
+    on first read, so a meet that is only compared decodes just its ends."""
+
+    def __init__(self, states: tuple[int, ...], numbering: StateNumbering, total_cost: float):
+        self.states, self.numbering = states, numbering
+        self.total_cost, self.edge_costs = total_cost, None
+        self._vertices = self._profile = None
+
+    @property
+    def vertices(self) -> list[AugVertex]:
+        if self._vertices is None:
+            self._vertices = [self.numbering.decode(s) for s in self.states]
+        return self._vertices
+
+    def key(self) -> tuple[int, ...]:
+        return self.states
+
+    def ends(self) -> tuple[AugVertex, AugVertex]:
+        return self.numbering.decode(self.states[0]), self.numbering.decode(self.states[-1])
+
+    def profile(self) -> Profile:
+        if self._profile is None:
+            per_column, ny = 24 * self.numbering.nz, self.numbering.ny
+            self._profile = Profile.of_columns(divmod(s // per_column, ny) for s in self.states)
+        return self._profile
 
 
 def _column(grid, xy, what: str) -> tuple[int, int]:
@@ -523,16 +569,23 @@ class _LabelSide(_Side):
             for other in [l for l in bucket if l.cost > cost_bar(cost, self.max_diff)]:
                 self._kill(other)
         column = state // self.per_column
-        label = _Label(cost, state, parent, *divmod(column, self.states.ny))
+        x, y = divmod(column, self.states.ny)
+        label = None
         if bucket:
             stop = self.stop_cells[column]
-            similar = [i for i, other in enumerate(bucket) if profile_area(label, other, stop) < stop]
-            decision = place([l.cost for l in bucket], similar, cost, self.cap)
+
+            def too_similar(i: int) -> bool:
+                nonlocal label
+                if label is None:
+                    label = _Label(cost, state, parent, x, y)
+                return profile_area(label, bucket[i], stop) < stop
+
+            decision = place([l.cost for l in bucket], too_similar, cost, self.cap)
             if decision is REJECT:
                 return
             if decision is not ADD:
                 self._kill(bucket[decision.index])
-        self._push(label)
+        self._push(label if label is not None else _Label(cost, state, parent, x, y))
 
     def cost(self, label: _Label) -> float:
         return label.cost
@@ -563,13 +616,16 @@ class BidiEngine:
     (:meth:`~corridor.graph.StateNumbering.flip`); a forward label with
     orientation (h, v) therefore pairs with the backward labels at
     (h+4 mod 8, -v) on the same position — other orientation pairs are
-    distinct meets.  Each settle yields one unpriced :class:`Path` per
-    settled label at its mate state: the two labels' chains joined, with
-    the sum of their costs as ``total_cost``.
+    distinct meets.  Each settle yields one unpriced :class:`Meet` per
+    settled label at its mate state: the two labels' chains of int states
+    joined, with the sum of their costs as ``total_cost``; no vertex is
+    decoded until a consumer reads one.
 
     The side with the lower key grows (:meth:`pick`).  A cutoff (settable
     at construction or any time via :meth:`set_cutoff`) stops the search
-    once both keys pass it, having emitted every meet within it.  The
+    once both keys pass it, having emitted every meet within it; the
+    ``bds`` and ``hybrid`` selection lowers it as meets come in, to the
+    dearest held corridor once it holds k of them.  The
     search also stops, and sets ``stats.incomplete``, when a settle finds
     ``deadline`` (a :func:`time.monotonic` time) passed or the two sides
     holding more than ``label_cap`` labels.
@@ -626,7 +682,7 @@ class BidiEngine:
     def held(self) -> int:
         return self._fwd.held() + self._bwd.held()
 
-    def events(self) -> Iterator[Path]:
+    def events(self) -> Iterator[Meet]:
         """Generate meet paths until both frontiers pass the cutoff or drain,
         or a limit stops the search."""
         fwd, bwd = self._fwd, self._bwd
@@ -638,12 +694,13 @@ class BidiEngine:
                 if total <= self._cutoff_bar():
                     yield self._meet(f, b, total)
 
-    def _meet(self, f, b, total: float) -> Path:
-        bwd = self._bwd
-        states, back = bwd.states, bwd.trail(b)
+    def _meet(self, f, b, total: float) -> Meet:
+        states = list(self._fwd.trail(f))
+        states.reverse()
+        back = self._bwd.trail(b)
         next(back)  # the meeting state, already the forward chain's tip
-        tail = [states.decode(states.flip(s)) for s in back]
-        return Path(vertices=self._fwd.chain(f) + tail, total_cost=total)
+        states.extend(map(StateNumbering.flip, back))
+        return Meet(tuple(states), self._fwd.states, total)
 
 
 # The engine's constructor is the public entry point; iterate ``events()``.

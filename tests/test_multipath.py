@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corridor import CostModel, TerrainGrid, simple_height_mask
+from corridor import CostModel, TerrainGrid, bidi_engine, simple_height_mask
+from corridor.dissimilarity import Outcome, accept, assert_pairwise_dissimilar, cost_bar
 from corridor.graph import AugVertex
 from corridor.multipath import (
     IPA_TOLERANCE,
     IpaBracket,
     MultipathConfig,
+    _select_meets,
+    _Solve,
     run_bds,
     run_hybrid,
     run_ipa,
@@ -21,6 +26,7 @@ from corridor.multipath import (
 from corridor.search import Path, dijkstra
 
 from conftest import LANES_DST, LANES_SRC, canyon_grid, crossing_grid, flat_grid, lane_grid, one_label_path
+from strategies import small_instances
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +125,14 @@ class TestLaneFixture:
     def test_counts_unchanged(self, lane_runs):
         # expansions / peak_labels / iterations of each algorithm; a change
         # to an engine that keeps the corridors but moves these is a finding.
+        # bds and hybrid stop at the dearest of the k held corridors.
         counts = {algo: (r.expansions, r.peak_labels, r.iterations) for algo, r in lane_runs.items()}
         assert counts == {
             "se": (73_304, 23_928, 7),
             "ipa": (63_616, 25_202, 5),
             "kspa": (14_175, 27_325, 14_175),
-            "bds": (54_478, 85_123, 1_009),
-            "hybrid": (57_137, 92_103, 1_052),
+            "bds": (53_746, 84_572, 993),
+            "hybrid": (56_068, 91_071, 1_024),
         }
 
     def test_three_criteria(self, lane_runs):
@@ -401,3 +408,45 @@ class TestDispatcher:
     def test_config_rejects_nan_and_negative_min_diff(self, key, value):
         with pytest.raises(ValueError, match=key):
             MultipathConfig(**{key: value})
+
+
+def untightened_select(name, grid, model, mask, src, dst, cfg, ka):
+    """The meet selection with the engine's cutoff lowered only when a
+    cheaper meet lowers the optimum, as it was before it also stopped at
+    the dearest held corridor."""
+    run = _Solve(name, grid, model, mask, src, dst, cfg)
+    engine = bidi_engine(
+        grid, model, mask, src, dst, use_ikeda=cfg.use_astar, stats=run.stats, coster=run.coster,
+        labels=ka, min_diff=cfg.min_diff, max_diff=cfg.max_diff, deadline=run.deadline, label_cap=cfg.label_cap,
+    )
+    accepted, seen, mu = [], set(), None
+    for path in engine.events():
+        run.iterations += 1
+        if mu is None or path.total_cost < mu:
+            mu = path.total_cost
+            engine.set_cutoff(cost_bar(mu, cfg.max_diff))
+        key = path.key()
+        if key in seen:
+            continue
+        seen.add(key)
+        if accept(path, accepted, run.acfg, cfg.k, cfg.max_diff, mu).outcome is not Outcome.REJECT:
+            assert_pairwise_dissimilar(accepted, run.acfg)
+    return run.result(accepted, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(), st.sampled_from((1, 2)), st.booleans(), st.sampled_from((2, 3)),
+       st.sampled_from((0.5, 3.0, 12.0)), st.sampled_from((10.0, 30.0)))
+def test_stopping_at_the_dearest_held_corridor_keeps_the_selection(inst, ka, use_astar, k, min_diff, max_diff):
+    # Once k corridors are held, place replaces one only with a cheaper
+    # meet, so every meet the tighter cutoff skips would have been rejected.
+    # Low min_diff and high max_diff let small maps hold k corridors.
+    grid, model, mask, src, dst = inst
+    cfg = MultipathConfig(k=k, min_diff=min_diff, max_diff=max_diff, algorithm="hybrid", ka=ka,
+                          use_astar=use_astar, timeout=60)
+    got = _select_meets("hybrid", grid, model, mask, src, dst, cfg, ka)
+    want = untightened_select("hybrid", grid, model, mask, src, dst, cfg, ka)
+    assert [p.total_cost for p in got.paths] == [p.total_cost for p in want.paths]
+    assert [p.vertices for p in got.paths] == [p.vertices for p in want.paths]
+    assert (got.solved, got.optimal_cost) == (want.solved, want.optimal_cost)
+    assert got.expansions <= want.expansions and got.iterations <= want.iterations

@@ -237,7 +237,33 @@ def by_the_docstring(costs, similar, cost, room):
 )
 def test_place_follows_the_accept_docstring(costs, data, cost, room):
     similar = sorted(data.draw(st.sets(st.integers(0, len(costs) - 1))) if costs else [])
-    assert place(costs, similar, cost, room) == by_the_docstring(costs, similar, cost, room)
+    assert place(costs, lambda i: i in similar, cost, room) == by_the_docstring(costs, similar, cost, room)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from((100.0, 103.0, 105.0, 108.0)), max_size=5),
+    st.data(),
+    st.sampled_from((99.0, 103.0, 104.0, 109.0)),
+    st.integers(1, 5),
+)
+def test_place_asks_only_while_the_answer_matters(costs, data, cost, room):
+    # No area test for a full set's candidate that costs at least its
+    # dearest member, and none after a similar member that costs no more
+    # than the candidate, or after a second similar member.
+    similar = data.draw(st.sets(st.integers(0, len(costs) - 1))) if costs else set()
+    asked = []
+    place(costs, lambda i: asked.append(i) or i in similar, cost, room)
+    if len(costs) >= room and cost >= max(costs):
+        assert asked == []
+        return
+    assert asked == list(range(len(asked)))
+    hits = [i for i in asked if i in similar]
+    decisive = [i for n, i in enumerate(hits) if costs[i] <= cost or n == 1]
+    if decisive:
+        assert asked[-1] == decisive[0]
+    else:
+        assert len(asked) == len(costs)
 
 
 @settings(max_examples=100, deadline=None)

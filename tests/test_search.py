@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from corridor import CostModel, HeightMask, MultipathConfig, TerrainGrid, bidi_engine, simple_height_mask, solve
 from corridor.cost import EdgeCoster
+from corridor.dissimilarity import Profile
 from corridor.graph import AugVertex, ground_z_index, successors3do
 from corridor.search import CellFilter, CellPenalty, SearchStats, _LabelSide, _settles, astar, dijkstra
 from corridor.terrain import synth_terrain
@@ -335,6 +337,36 @@ def test_guided_engine_emits_the_unguided_meets(inst):
     plain, guided = (sorted(t for _, t in meets(inst, 1, g, 1.1 * best.total_cost)[0]) for g in (False, True))
     assert plain and len(guided) == len(plain)
     assert guided == pytest.approx(plain, rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(), st.sampled_from((1, 2)), st.booleans())
+def test_a_meet_is_its_chain_of_int_states(inst, labels, guided):
+    # A meet carries the int states of its chain; the vertices it decodes on
+    # first read are those of both sides' chains decoded, the backward one
+    # flipped, and its profile, built from the states' columns, is the
+    # decoded path's.
+    grid, model, mask, src, dst = inst
+    eng = bidi_engine(grid, model, mask, src, dst, use_ikeda=guided, labels=labels, min_diff=12.0, max_diff=10.0)
+    numbering, meet = eng._fwd.states, eng._meet
+    decoded = []
+
+    def spy(f, b, total):
+        back = eng._bwd.trail(b)
+        next(back)
+        decoded.append(eng._fwd.chain(f) + [numbering.decode(numbering.flip(s)) for s in back])
+        return meet(f, b, total)
+
+    eng._meet = spy
+    chains = {}
+    for n, m in enumerate(itertools.islice(eng.events(), 300)):
+        prof = m.profile()
+        assert m._vertices is None  # neither the profile nor the key decodes
+        assert m.vertices == decoded[n]
+        assert m.key() == m.states == tuple(numbering.encode(v) for v in m.vertices)
+        assert prof.means() == Profile.of_path(m.vertices).means()
+        assert chains.setdefault(m.key(), tuple(m.vertices)) == tuple(m.vertices)
+    assert len(set(chains.values())) == len(chains)
 
 
 def test_dropped_sides_are_freed_without_the_cycle_collector(model):
