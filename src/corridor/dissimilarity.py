@@ -137,15 +137,6 @@ def profile_area(a: Profile, b: Profile, stop: float = math.inf) -> float:
     return area
 
 
-def _profiles(p: Path, q: Path) -> tuple[Profile, Profile]:
-    """The two paths' profiles; paths that do not share both endpoints'
-    columns raise ``ValueError``."""
-    (ps, pe), (qs, qe) = p.ends(), q.ends()
-    if (ps.x, ps.y) != (qs.x, qs.y) or (pe.x, pe.y) != (qe.x, qe.y):
-        raise ValueError("endpoint mismatch: paths must share source and destination")
-    return p.profile(), q.profile()
-
-
 def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
     """Area difference percent plus the number of elementary steps performed
     (used to verify the linear-time behavior of the metric)."""
@@ -158,7 +149,10 @@ def area_diff_with_ops(p: Path, q: Path, cfg: AreaConfig) -> tuple[float, int]:
 def area_diff(p: Path, q: Path, cfg: AreaConfig) -> float:
     """Symmetric percentage area difference between two paths (O(L)), on
     the profile each path builds once."""
-    cells = profile_area(*_profiles(p, q))
+    (ps, pe), (qs, qe) = p.ends(), q.ends()
+    if (ps.x, ps.y) != (qs.x, qs.y) or (pe.x, pe.y) != (qe.x, qe.y):
+        raise ValueError("endpoint mismatch: paths must share source and destination")
+    cells = profile_area(p.profile(), q.profile())
     return 100.0 * (cells * cfg.dxy * cfg.dxy) / (cfg.map_width * cfg.endpoint_distance)
 
 

@@ -360,12 +360,12 @@ def test_a_meet_is_its_chain_of_int_states(inst, labels, guided):
     eng._meet = spy
     chains = {}
     for n, m in enumerate(itertools.islice(eng.events(), 300)):
-        prof = m.profile()
-        assert m._vertices is None  # neither the profile nor the key decodes
+        key, prof = m.key(), m.profile()
+        assert m._vertices is None  # neither the key nor the profile decodes
         assert m.vertices == decoded[n]
-        assert m.key() == m.states == tuple(numbering.encode(v) for v in m.vertices)
+        assert key == m.states == tuple(numbering.encode(v) for v in m.vertices)
         assert prof.means() == Profile.of_path(m.vertices).means()
-        assert chains.setdefault(m.key(), tuple(m.vertices)) == tuple(m.vertices)
+        assert chains.setdefault(key, tuple(m.vertices)) == tuple(m.vertices)
     assert len(set(chains.values())) == len(chains)
 
 
